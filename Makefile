@@ -52,15 +52,14 @@ benchgate:
 
 # detsmoke runs the seeded cross-GOMAXPROCS (1, 2, NumCPU) determinism
 # checks for the parallel crypto pool, the parallel state commit, the
-# workload signing pipeline, and both parallel block executors — the
-# optimistic engine (randomized differential traffic, per-target cutoff,
-# conflict-heavy chaos cell) and the conflict-aware scheduler (three-way
-# scheduled/optimistic/serial differential, no-storm counter pin, Kitties
-# breeding DAG, grouped batch selection), plus the parallel per-tick
-# universe driver (16-chain policy-on scaling cell, serial vs laned
-# drivers): bit-identical results at every worker count.
+# workload signing pipeline, serial ApplyBlock (randomized differential
+# traffic and the disjoint, conflicting and Kitties breeding-DAG blocks),
+# FIFO batch selection, the fault-injected chaos cell, the state backends,
+# and the parallel per-tick universe driver (16-chain policy-on scaling
+# cell, serial vs laned drivers): bit-identical results at every worker
+# count.
 detsmoke:
-	$(GO) test -run 'TestVerifyBatchMatchesSerial|TestRecoverSendersMatchesSerialAcrossGOMAXPROCS|TestCommitParallelMatchesSerial|TestHashParallelMatchesRootHashAndProofs|TestApplyBlockParallelDeterminism|TestApplyBlockParallelDifferential|TestParallelAbortFallback|TestParallelPerTargetCutoff|TestApplyBlockScheduledDifferential|TestScheduledConflictingNoStorm|TestScheduledKittiesDAG|TestNextBatchGroupedPreservesFIFO|TestViewPropertyDifferentialRandomOps|TestKittiesReplayCrossGOMAXPROCSDeterminism|TestApplyBlockParallelMatchesSerial|TestChaosCellCrossGOMAXPROCS|TestBackendConformanceDifferential|TestShardedScalingCrossGOMAXPROCSDeterminism|TestRunUntilParallelMatchesSerial' \
+	$(GO) test -run 'TestVerifyBatchMatchesSerial|TestRecoverSendersMatchesSerialAcrossGOMAXPROCS|TestCommitParallelMatchesSerial|TestHashParallelMatchesRootHashAndProofs|TestApplyBlockParallelDeterminism|TestApplyBlockParallelDifferential|TestNextBatchMatchesLegacyFIFO|TestKittiesReplayCrossGOMAXPROCSDeterminism|TestApplyBlockParallelMatchesSerial|TestChaosCellCrossGOMAXPROCS|TestBackendConformanceDifferential|TestShardedScalingCrossGOMAXPROCSDeterminism|TestRunUntilParallelMatchesSerial' \
 		./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ ./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/simclock/
 
 # expsmoke is the experiment-output sanity gate: a CI-scale ablations run

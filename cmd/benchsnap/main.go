@@ -212,15 +212,7 @@ func benchmarks() []benchmark {
 		{name: "kitties_replay", iters: 5, run: runKitties},
 		{name: "fig6_grid_ci", iters: 2, run: runFig6Grid},
 		{name: "move_stages", iters: 2, run: runMoveStages},
-		{name: "apply_block_parallel_disjoint", iters: 60, run: runApplyBlockParallel(false)},
-		// The optimistic cells' abort counts depend on goroutine timeslicing
-		// (a single CPU interleaves the lanes differently run to run), so
-		// their allocs/op carry real scheduling noise — more iterations
-		// tighten the mean enough for the 5% benchdiff gate to be meaningful.
-		{name: "apply_block_parallel_conflicting", iters: 60, run: runApplyBlockParallel(true)},
-		{name: "apply_block_scheduled_disjoint", iters: 20, run: runApplyBlockScheduled(false)},
-		{name: "apply_block_scheduled_conflicting", iters: 20, run: runApplyBlockScheduled(true)},
-		{name: "apply_block_scheduled_kitties_dag", iters: 20, run: runApplyBlockKittiesDAG},
+		{name: "apply_block_disjoint", iters: 60, run: runApplyBlockDisjoint},
 		{name: "shard_scaling_4", iters: 1, run: runShardScaling(4)},
 		{name: "shard_scaling_16", iters: 1, run: runShardScaling(16)},
 		{name: "shard_scaling_64", iters: 1, run: runShardScaling(64)},
@@ -243,194 +235,29 @@ func benchProcs() int {
 	return procs
 }
 
-// runApplyBlockParallel measures one 128-transaction block executed by the
-// optimistic parallel scheduler (the headline ns/op) against the serial loop
-// on identical traffic (extra field serial_ns_per_op, plus the speedup
-// ratio). The parallel leg runs at min(4, max(2, NumCPU)) GOMAXPROCS; on a
-// single-core host that still exercises the full lanes-plus-commit machinery
-// and the ratio reports its overhead rather than a speedup (see DESIGN.md).
-// Both legs must commit the same state root — the benchmark doubles as a
-// cross-engine check on real-size blocks.
-func runApplyBlockParallel(conflicting bool) func(iters int) (Result, error) {
-	return func(iters int) (Result, error) {
-		// One transaction per sender: same-sender nonce chains are inherently
-		// serial for this engine (every later tx reads the nonce the earlier
-		// one wrote), so the disjoint cell uses independent senders and the
-		// conflicting cell differs only in the contract's storage pattern.
-		cfg := bench.ApplyBlockConfig{Senders: 128, Txs: 128, Conflicting: conflicting, Strategy: chain.StrategyOptimistic}
-		txs, err := bench.BuildApplyBlockTxs(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		var roots [2]hashing.Hash
-		leg := func(iters, threshold, slot int) (Result, error) {
-			cfg.ParallelThreshold = threshold
-			return measure(iters, func() error {
-				c, err := bench.BuildApplyBlockChain(cfg)
-				if err != nil {
-					return err
-				}
-				block, receipts := c.ApplyBlock(txs, 100, chain.ProposerAddress(1, 0))
-				for _, rec := range receipts {
-					if !rec.Succeeded() {
-						return fmt.Errorf("apply_block: tx failed: %s", rec.Err)
-					}
-				}
-				roots[slot], _ = c.RootAt(block.Header.Height)
-				return nil
-			})
-		}
-		serial, err := leg(iters, -1, 0)
-		if err != nil {
-			return Result{}, err
-		}
-		procs := benchProcs()
-		prev := runtime.GOMAXPROCS(procs)
-		res, err := leg(iters, 1, 1)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			return Result{}, err
-		}
-		if roots[0] != roots[1] {
-			return Result{}, fmt.Errorf("apply_block: parallel root %s != serial %s", roots[1], roots[0])
-		}
-		res.Extra = map[string]float64{
-			"serial_ns_per_op": serial.NsPerOp,
-			"speedup":          serial.NsPerOp / res.NsPerOp,
-			"gomaxprocs":       float64(procs),
-			"numcpu":           float64(runtime.NumCPU()),
-		}
-		return res, nil
-	}
-}
-
-// runApplyBlockScheduled measures the same 128-transaction block executed by
-// the conflict-aware scheduled engine against the serial loop. A one-call
-// warmup block teaches the pattern cache first, so the measured block plans
-// from a learned symbolic pattern: the disjoint cell levelizes into one wide
-// wave, the conflicting cell degenerates (by design) into direct singleton
-// waves with zero aborts. The extras carry the speedup and the observed
-// mispredict rate (aborted speculations / speculations) accumulated across
-// all scheduled iterations. Roots are cross-checked serial vs scheduled.
-func runApplyBlockScheduled(conflicting bool) func(iters int) (Result, error) {
-	return func(iters int) (Result, error) {
-		cfg := bench.ApplyBlockConfig{Senders: 128, Txs: 128, Conflicting: conflicting, Strategy: chain.StrategyScheduled}
-		txs, err := bench.BuildApplyBlockTxs(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		warmup, err := bench.BuildApplyBlockWarmupTx(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		reg := metrics.NewRegistry()
-		var roots [2]hashing.Hash
-		leg := func(iters, threshold, slot int, observe bool) (Result, error) {
-			cfg.ParallelThreshold = threshold
-			return measure(iters, func() error {
-				c, err := bench.BuildApplyBlockChain(cfg)
-				if err != nil {
-					return err
-				}
-				if observe {
-					c.SetObserver(reg, func() time.Duration { return 0 })
-				}
-				for blk, batch := range [][]*types.Transaction{warmup, txs} {
-					block, receipts := c.ApplyBlock(batch, uint64(100+blk), chain.ProposerAddress(1, 0))
-					for _, rec := range receipts {
-						if !rec.Succeeded() {
-							return fmt.Errorf("apply_block_scheduled: tx failed: %s", rec.Err)
-						}
-					}
-					roots[slot], _ = c.RootAt(block.Header.Height)
-				}
-				return nil
-			})
-		}
-		serial, err := leg(iters, -1, 0, false)
-		if err != nil {
-			return Result{}, err
-		}
-		procs := benchProcs()
-		prev := runtime.GOMAXPROCS(procs)
-		res, err := leg(iters, 1, 1, true)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			return Result{}, err
-		}
-		if roots[0] != roots[1] {
-			return Result{}, fmt.Errorf("apply_block_scheduled: scheduled root %s != serial %s", roots[1], roots[0])
-		}
-		res.Extra = scheduledExtras(serial, res, procs, reg)
-		return res, nil
-	}
-}
-
-// runApplyBlockKittiesDAG measures the 128-breed tournament DAG block — the
-// tentpole acceptance workload — scheduled vs serial, with the same warmup
-// block teaching the breed pattern before the measured block in both legs.
-func runApplyBlockKittiesDAG(iters int) (Result, error) {
-	warmup, dag, err := bench.BuildKittiesDAGTxs()
+// runApplyBlockDisjoint measures one 128-transaction block of disjoint
+// contract calls from 128 independent senders, executed by the serial
+// ApplyBlock loop on a freshly built chain per iteration (chain
+// construction is inside the timed region).
+func runApplyBlockDisjoint(iters int) (Result, error) {
+	cfg := bench.ApplyBlockConfig{Senders: 128, Txs: 128}
+	txs, err := bench.BuildApplyBlockTxs(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	reg := metrics.NewRegistry()
-	var roots [2]hashing.Hash
-	leg := func(iters, threshold, slot int, observe bool) (Result, error) {
-		return measure(iters, func() error {
-			c, err := bench.BuildKittiesDAGChain(threshold, chain.StrategyScheduled)
-			if err != nil {
-				return err
+	return measure(iters, func() error {
+		c, err := bench.BuildApplyBlockChain(cfg)
+		if err != nil {
+			return err
+		}
+		_, receipts := c.ApplyBlock(txs, 100, chain.ProposerAddress(1, 0))
+		for _, rec := range receipts {
+			if !rec.Succeeded() {
+				return fmt.Errorf("apply_block: tx failed: %s", rec.Err)
 			}
-			if observe {
-				c.SetObserver(reg, func() time.Duration { return 0 })
-			}
-			for blk, batch := range [][]*types.Transaction{warmup, dag} {
-				block, receipts := c.ApplyBlock(batch, uint64(100+blk), chain.ProposerAddress(1, 0))
-				for _, rec := range receipts {
-					if !rec.Succeeded() {
-						return fmt.Errorf("kitties_dag: tx failed: %s", rec.Err)
-					}
-				}
-				roots[slot], _ = c.RootAt(block.Header.Height)
-			}
-			return nil
-		})
-	}
-	serial, err := leg(iters, -1, 0, false)
-	if err != nil {
-		return Result{}, err
-	}
-	procs := benchProcs()
-	prev := runtime.GOMAXPROCS(procs)
-	res, err := leg(iters, 1, 1, true)
-	runtime.GOMAXPROCS(prev)
-	if err != nil {
-		return Result{}, err
-	}
-	if roots[0] != roots[1] {
-		return Result{}, fmt.Errorf("kitties_dag: scheduled root %s != serial %s", roots[1], roots[0])
-	}
-	res.Extra = scheduledExtras(serial, res, procs, reg)
-	return res, nil
-}
-
-// scheduledExtras assembles the extra fields shared by the scheduled cells:
-// the serial baseline, the speedup ratio, and the scheduler's accumulated
-// mispredict rate from the attached registry.
-func scheduledExtras(serial, res Result, procs int, reg *metrics.Registry) map[string]float64 {
-	cs := reg.Counters()
-	rate := 0.0
-	if spec := cs.Get("schedule.speculated"); spec > 0 {
-		rate = float64(cs.Get("schedule.mispredicts")) / float64(spec)
-	}
-	return map[string]float64{
-		"serial_ns_per_op": serial.NsPerOp,
-		"speedup":          serial.NsPerOp / res.NsPerOp,
-		"gomaxprocs":       float64(procs),
-		"numcpu":           float64(runtime.NumCPU()),
-		"mispredict_rate":  rate,
-	}
+		}
+		return nil
+	})
 }
 
 // runMoveStages drives the chaos scenario with the observability registry on
@@ -664,8 +491,8 @@ func runFig6Grid(iters int) (Result, error) {
 // run under the parallel-tick driver; the extras carry the simulated
 // steady-state throughput, the policy's throughput gain over the
 // frozen-contracts baseline, the driver speedup over the serial
-// discrete-event loop (on a single-core host this reports overhead, like
-// the apply_block cells), and the migration count/spread. The serial and
+// discrete-event loop (on a single-core host this reports overhead), and
+// the migration count/spread. The serial and
 // parallel driver legs must produce bit-identical fingerprints — the cell
 // doubles as a determinism check at benchmark scale.
 func runShardScaling(chains int) func(iters int) (Result, error) {

@@ -16,30 +16,23 @@ import (
 	"scmove/internal/u256"
 )
 
-// ApplyBlockConfig describes one block-execution workload for the parallel
-// scheduler benchmarks: Senders independent funded accounts each submit
-// Txs/Senders contract calls into a single block.
+// ApplyBlockConfig describes one block-execution workload: Senders
+// independent funded accounts each submit Txs/Senders contract calls into a
+// single block.
 type ApplyBlockConfig struct {
-	// Senders is the number of distinct funded accounts (one lane of
-	// inherently serial nonce progression each).
+	// Senders is the number of distinct funded accounts (one nonce chain
+	// each).
 	Senders int
 	// Txs is the total block size.
 	Txs int
 	// Conflicting selects the contract: true makes every call read-modify-
-	// write one shared storage slot (worst case: every speculation aborts),
-	// false makes each call write a caller-keyed slot (best case: no
-	// conflicts beyond the commutative coinbase credit).
+	// write one shared storage slot, false makes each call write a
+	// caller-keyed slot.
 	Conflicting bool
-	// ParallelThreshold is passed through to chain.Config: negative forces
-	// the serial loop, 1 parallelizes every block.
-	ParallelThreshold int
-	// Strategy selects the parallel engine once the threshold gate opens;
-	// the zero value is chain.StrategyScheduled.
-	Strategy chain.ParallelStrategy
 }
 
 // ApplyBlockResult carries the committed outcome so callers can cross-check
-// engines against each other.
+// runs against each other.
 type ApplyBlockResult struct {
 	Root     hashing.Hash
 	Receipts []*types.Receipt
@@ -68,49 +61,17 @@ func BuildApplyBlockChain(cfg ApplyBlockConfig) (*chain.Chain, error) {
 		MaxBlockTxs:       cfg.Txs + 1,
 		ConfirmationDepth: 6,
 		PoolLimit:         cfg.Txs + 1,
-		ParallelThreshold: cfg.ParallelThreshold,
-		Strategy:          cfg.Strategy,
 	}
 	code := disjointCode
 	if cfg.Conflicting {
 		code = conflictingCode
 	}
 	return chain.New(ccfg, core.NewHeaderStore(), func(db *state.DB) {
-		// One extra funded account beyond the senders: the warmup
-		// transaction (BuildApplyBlockWarmupTx) teaching the scheduler's
-		// pattern cache comes from it, so warmup never perturbs a
-		// measured sender's nonce chain.
-		for s := 0; s < cfg.Senders+1; s++ {
+		for s := 0; s < cfg.Senders; s++ {
 			db.AddBalance(keys.Deterministic(uint64(s+1)).Address(), u256.FromUint64(applyBlockFund))
 		}
 		db.CreateContract(applyBlockContract, code)
 	})
-}
-
-// BuildApplyBlockWarmupTx returns a single-transaction warmup block for the
-// scheduled engine: one call to the workload contract from the extra funded
-// account, so the first measured block plans against a warm pattern cache
-// instead of degenerating into learn-singleton waves.
-func BuildApplyBlockWarmupTx(cfg ApplyBlockConfig) ([]*types.Transaction, error) {
-	var data [32]byte
-	data[31] = 0xFF
-	tx := &types.Transaction{
-		ChainID:  1,
-		Nonce:    0,
-		Kind:     types.TxCall,
-		To:       applyBlockContract,
-		GasLimit: 1_000_000,
-		GasPrice: u256.FromUint64(2),
-		Data:     data[:],
-	}
-	if err := tx.Sign(keys.Deterministic(uint64(cfg.Senders + 1))); err != nil {
-		return nil, err
-	}
-	dec, err := types.DecodeTransaction(tx.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return []*types.Transaction{dec}, nil
 }
 
 // BuildApplyBlockTxs generates the block: senders round-robin over the
@@ -161,6 +122,26 @@ func RunApplyBlock(cfg ApplyBlockConfig) (*ApplyBlockResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return applyOneBlock(c, txs)
+}
+
+// RunKittiesDAG executes the Kitties breeding-DAG block on a freshly built
+// chain and returns the committed root and receipts.
+func RunKittiesDAG() (*ApplyBlockResult, error) {
+	c, err := buildKittiesDAGChain()
+	if err != nil {
+		return nil, err
+	}
+	txs, err := buildKittiesDAGTxs()
+	if err != nil {
+		return nil, err
+	}
+	return applyOneBlock(c, txs)
+}
+
+// applyOneBlock commits txs as block 1 of c and requires every transaction
+// to succeed.
+func applyOneBlock(c *chain.Chain, txs []*types.Transaction) (*ApplyBlockResult, error) {
 	block, receipts := c.ApplyBlock(txs, 100, chain.ProposerAddress(1, 0))
 	for _, rec := range receipts {
 		if !rec.Succeeded() {
@@ -173,19 +154,16 @@ func RunApplyBlock(cfg ApplyBlockConfig) (*ApplyBlockResult, error) {
 
 // --- Kitties-DAG workload --------------------------------------------------
 
-// The breed contract is the scheduler's showcase: child = SLOAD(p1) +
-// SLOAD(p2) + 1 stored at SSTORE(child), all three ids taken from calldata.
-// A block of breeds is an explicit data DAG — generation g reads what
-// generation g-1 wrote — that the planner levelizes into one wide wave per
-// generation, while blind speculation executes later generations against
-// pre-block state and aborts.
+// The breed contract stores child = SLOAD(p1) + SLOAD(p2) + 1 at
+// SSTORE(child), all three ids taken from calldata. A block of breeds is an
+// explicit data DAG: generation g reads what generation g-1 wrote.
 var (
 	kittiesBreedAddr = hashing.AddressFromBytes([]byte{0xD7})
 	kittiesBreedCode = asm.MustAssemble(
 		"PUSH1 0 CALLDATALOAD SLOAD PUSH1 32 CALLDATALOAD SLOAD ADD PUSH1 1 ADD PUSH1 64 CALLDATALOAD SSTORE STOP")
 )
 
-const kittiesDAGSenders = 129 // 128 breeders + 1 warmup account
+const kittiesDAGSenders = 128
 
 func kittiesBreedData(p1, p2, child uint64) []byte {
 	data := make([]byte, 96)
@@ -195,9 +173,9 @@ func kittiesBreedData(p1, p2, child uint64) []byte {
 	return data
 }
 
-// BuildKittiesDAGChain constructs a chain with the breed contract and 64
+// buildKittiesDAGChain constructs a chain with the breed contract and 64
 // promo kitties (slots 1..64) in genesis and every breeder funded.
-func BuildKittiesDAGChain(threshold int, strategy chain.ParallelStrategy) (*chain.Chain, error) {
+func buildKittiesDAGChain() (*chain.Chain, error) {
 	ccfg := chain.Config{
 		ChainID:           1,
 		TreeKind:          trie.KindMPT,
@@ -206,8 +184,6 @@ func BuildKittiesDAGChain(threshold int, strategy chain.ParallelStrategy) (*chai
 		MaxBlockTxs:       kittiesDAGSenders,
 		ConfirmationDepth: 6,
 		PoolLimit:         kittiesDAGSenders,
-		ParallelThreshold: threshold,
-		Strategy:          strategy,
 	}
 	return chain.New(ccfg, core.NewHeaderStore(), func(db *state.DB) {
 		for s := 0; s < kittiesDAGSenders; s++ {
@@ -223,12 +199,11 @@ func BuildKittiesDAGChain(threshold int, strategy chain.ParallelStrategy) (*chai
 	})
 }
 
-// BuildKittiesDAGTxs returns a one-transaction warmup block (teaching the
-// breed pattern) and the 4-generation × 32-breed tournament block:
+// buildKittiesDAGTxs returns the 4-generation × 32-breed tournament block:
 // generation 1 breeds the genesis promo kitties pairwise, later generations
 // breed the previous generation's children. 128 distinct senders, so only
 // the data DAG orders the transactions.
-func BuildKittiesDAGTxs() (warmup, dag []*types.Transaction, err error) {
+func buildKittiesDAGTxs() ([]*types.Transaction, error) {
 	sign := func(sender uint64, data []byte) (*types.Transaction, error) {
 		tx := &types.Transaction{
 			ChainID:  1,
@@ -244,11 +219,7 @@ func BuildKittiesDAGTxs() (warmup, dag []*types.Transaction, err error) {
 		}
 		return types.DecodeTransaction(tx.Encode())
 	}
-	w, err := sign(1, kittiesBreedData(1, 2, 999))
-	if err != nil {
-		return nil, nil, err
-	}
-	warmup = []*types.Transaction{w}
+	var dag []*types.Transaction
 	for gen := 1; gen <= 4; gen++ {
 		for j := 0; j < 32; j++ {
 			var p1, p2 uint64
@@ -258,12 +229,12 @@ func BuildKittiesDAGTxs() (warmup, dag []*types.Transaction, err error) {
 				p1 = uint64(100*(gen-1) + j)
 				p2 = uint64(100*(gen-1) + (j+1)%32)
 			}
-			tx, err := sign(uint64(2+32*(gen-1)+j), kittiesBreedData(p1, p2, uint64(100*gen+j)))
+			tx, err := sign(uint64(1+32*(gen-1)+j), kittiesBreedData(p1, p2, uint64(100*gen+j)))
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			dag = append(dag, tx)
 		}
 	}
-	return warmup, dag, nil
+	return dag, nil
 }

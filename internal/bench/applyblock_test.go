@@ -6,48 +6,52 @@ import (
 	"testing"
 )
 
-// TestApplyBlockParallelMatchesSerial cross-checks the block-execution
-// benchmark workloads themselves: the parallel scheduler must commit the
-// same root and receipts as the serial loop for both the embarrassingly
-// parallel and the fully conflicting block, at every GOMAXPROCS.
+// TestApplyBlockParallelMatchesSerial checks that the parallel work around
+// the serial ApplyBlock loop — sender recovery on the crypto pool and
+// commit hashing — cannot change a block's outcome: the disjoint, the
+// fully conflicting and the Kitties breeding-DAG blocks must commit the
+// same root and receipts at every GOMAXPROCS.
 func TestApplyBlockParallelMatchesSerial(t *testing.T) {
-	for _, conflicting := range []bool{false, true} {
-		name := "disjoint"
-		if conflicting {
-			name = "conflicting"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := ApplyBlockConfig{Senders: 16, Txs: 64, Conflicting: conflicting}
-
-			cfg.ParallelThreshold = -1
-			want, err := RunApplyBlock(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.ParallelThreshold = 1
-			for _, procs := range []int{2, 4, runtime.NumCPU()} {
+	for _, tc := range []struct {
+		name string
+		run  func() (*ApplyBlockResult, error)
+	}{
+		{"disjoint", func() (*ApplyBlockResult, error) {
+			return RunApplyBlock(ApplyBlockConfig{Senders: 16, Txs: 64})
+		}},
+		{"conflicting", func() (*ApplyBlockResult, error) {
+			return RunApplyBlock(ApplyBlockConfig{Senders: 16, Txs: 64, Conflicting: true})
+		}},
+		{"kitties_dag", RunKittiesDAG},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want *ApplyBlockResult
+			for _, procs := range []int{1, 2, 4, runtime.NumCPU()} {
 				prev := runtime.GOMAXPROCS(procs)
-				got, err := RunApplyBlock(cfg)
+				got, err := tc.run()
 				runtime.GOMAXPROCS(prev)
 				if err != nil {
 					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
+				if want == nil {
+					want = got
+					continue
+				}
 				if got.Root != want.Root {
-					t.Fatalf("GOMAXPROCS=%d: root %s != serial %s", procs, got.Root, want.Root)
+					t.Fatalf("GOMAXPROCS=%d: root %s != GOMAXPROCS=1 root %s", procs, got.Root, want.Root)
 				}
 				if !reflect.DeepEqual(got.Receipts, want.Receipts) {
-					t.Fatalf("GOMAXPROCS=%d: receipts diverge from serial", procs)
+					t.Fatalf("GOMAXPROCS=%d: receipts diverge from GOMAXPROCS=1", procs)
 				}
 			}
 		})
 	}
 }
 
-// TestChaosCellCrossGOMAXPROCS is the conflict-heavy chaos cell of the
-// determinism suite: the full fault-injected Move scenario (20% drops, 20%
-// duplicates on every path) must produce identical simulated results whether
-// chain blocks execute serially (GOMAXPROCS=1) or through the optimistic
-// scheduler (GOMAXPROCS>1) — parallel ≡ serial under faults.
+// TestChaosCellCrossGOMAXPROCS is the chaos cell of the determinism suite:
+// the full fault-injected Move scenario (20% drops, 20% duplicates on every
+// path) must produce identical simulated results at GOMAXPROCS=1 and at the
+// host's CPU count, where sender recovery and commit hashing fan out.
 func TestChaosCellCrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GOMAXPROCS chaos runs are slow in -short mode")

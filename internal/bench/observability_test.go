@@ -12,11 +12,7 @@ import (
 // chaosFingerprint reduces one chaos run to everything simulated: per-move
 // latencies plus the counter table, minus the sendercache.* counters (the
 // cache is process-wide and other parallel tests pollute its hit/miss
-// deltas) and the parallel.* counters (they describe the host's execution
-// strategy — how many lanes speculated or aborted — not simulated events,
-// and legitimately differ between GOMAXPROCS settings and metrics on/off;
-// the schedule.* counters are excluded for the same reason; every other
-// counter is driven solely by this run's seeded RNGs).
+// deltas; every other counter is driven solely by this run's seeded RNGs).
 func chaosFingerprint(t *testing.T, metricsOn, trace bool) string {
 	t.Helper()
 	cfg := ChaosConfig{DropRate: 0.20, DupRate: 0.20, Seed: 12345, Moves: 2,
@@ -31,8 +27,7 @@ func chaosFingerprint(t *testing.T, metricsOn, trace bool) string {
 	}
 	names := make([]string, 0, len(res.Counters))
 	for name := range res.Counters {
-		if !strings.HasPrefix(name, "sendercache.") && !strings.HasPrefix(name, "parallel.") &&
-			!strings.HasPrefix(name, "schedule.") {
+		if !strings.HasPrefix(name, "sendercache.") {
 			names = append(names, name)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"scmove/internal/chain/schedule"
 	"scmove/internal/codec"
 	"scmove/internal/core"
 	"scmove/internal/evm"
@@ -46,16 +45,6 @@ type Config struct {
 	Natives *evm.Registry
 	// PoolLimit bounds the pending transaction pool.
 	PoolLimit int
-	// ParallelThreshold is the minimum block size ApplyBlock executes with
-	// the parallel executor (spawning lanes for a couple of transactions
-	// costs more than it saves). 0 means DefaultParallelThreshold; negative
-	// disables parallel execution entirely. Results are bit-identical
-	// either way.
-	ParallelThreshold int
-	// Strategy selects the parallel executor: conflict-aware scheduled
-	// waves (the zero value, the default) or PR-5 blind optimistic
-	// speculation. Results are bit-identical under both.
-	Strategy ParallelStrategy
 	// State tunes the state database's storage layer: backend selection
 	// (in-memory trees or the bounded-RSS log-structured file store), flat
 	// read-cache sizing, and the retained-root window for historical
@@ -110,10 +99,6 @@ type Chain struct {
 	listeners []BlockListener
 	txWaiters map[hashing.Hash][]TxListener
 
-	// planner holds the conflict scheduler's access-pattern cache and wave
-	// scratch for the StrategyScheduled executor.
-	planner *schedule.Planner
-
 	// Optional observability (SetObserver): block-interval histogram, block
 	// commit trace events, and pool-depth gauges. The chain cannot see the
 	// scheduler, so the harness supplies the simulated-clock reading.
@@ -167,7 +152,6 @@ func New(cfg Config, headers *core.HeaderStore, genesis func(db *state.DB)) (*Ch
 		txHeights: make(map[hashing.Hash]uint64),
 		pool:      txpool.New(cfg.ChainID, cfg.PoolLimit),
 		txWaiters: make(map[hashing.Hash][]TxListener),
-		planner:   schedule.NewPlanner(schedule.DefaultCacheSize),
 	}, nil
 }
 
@@ -379,7 +363,10 @@ func (c *Chain) ProposeBatch() []*types.Transaction {
 }
 
 // ApplyBlock executes txs as the next block at simulated unix time now,
-// proposed by the given address, and commits it. The write lock is held
+// proposed by the given address, and commits it. Transactions execute one
+// at a time in block order; the only parallel work is sender recovery
+// before the loop and commit hashing inside state.DB.Commit, both of which
+// produce results independent of GOMAXPROCS. The write lock is held
 // from execution through commit and index updates; listeners and waiters
 // fire after it is released, so they can freely call back into the chain.
 func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashing.Address) (*types.Block, []*types.Receipt) {
@@ -393,36 +380,17 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 		GasLimit:  c.cfg.BlockGasLimit,
 		BlockHash: c.blockHashFn(),
 	}
+	// Pre-recover every sender on the crypto worker pool before the serial
+	// execution loop. Recovery is pure per transaction and results land in
+	// input order, so execution below observes exactly what it would have
+	// computed inline — this only moves the ECDSA work off the critical
+	// path (and, for consensus-decoded copies, usually finds it already in
+	// the sender cache). Failures are re-surfaced by applyTx's own Sender
+	// call, which by then is a memoized lookup.
+	types.RecoverSenders(txs)
 	receipts := make([]*types.Receipt, 0, len(txs))
-	var pstats parallelStats
-	var sstats scheduleStats
-	switch {
-	case len(txs) == 0:
-		// Empty block: nothing to recover, execute, or evict.
-	case c.parallelEligible(len(txs)):
-		// Pre-recover every sender on the crypto worker pool (see the
-		// serial branch), then run the configured parallel executor:
-		// conflict-aware waves by default, or the PR-5 optimistic engine.
-		// Both are bit-identical to the loop below by construction.
-		types.RecoverSenders(txs)
-		if c.cfg.Strategy == StrategyOptimistic {
-			receipts, pstats = c.applyBlockParallel(txs, blockCtx)
-		} else {
-			receipts, sstats = c.applyBlockScheduled(txs, blockCtx)
-		}
-	default:
-		// Pre-recover every sender on the crypto worker pool before the
-		// serial execution loop. Recovery is pure per transaction and
-		// results land in input order, so execution below observes exactly
-		// what it would have computed inline — this only moves the ECDSA
-		// work off the critical path (and, for consensus-decoded copies,
-		// usually finds it already in the sender cache). Failures are
-		// re-surfaced by applyTx's own Sender call, which by then is a
-		// memoized lookup.
-		types.RecoverSenders(txs)
-		for _, tx := range txs {
-			receipts = append(receipts, c.applyTx(c.db, tx, blockCtx))
-		}
+	for _, tx := range txs {
+		receipts = append(receipts, c.applyTx(tx, blockCtx))
 	}
 	var gasUsed uint64
 	for _, rec := range receipts {
@@ -491,8 +459,6 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 	} else {
 		fire()
 	}
-	c.observeParallel(pstats)
-	c.observeScheduled(sstats)
 	c.observeBlock(block)
 	return block, receipts
 }
@@ -530,20 +496,10 @@ func (c *Chain) blockHashFn() func(uint64) hashing.Hash {
 	}
 }
 
-// execState is the state surface transaction application drives: the
-// interpreter's view plus Move2 recreation. Both the chain's canonical DB
-// and the speculative views of the parallel executor implement it.
-type execState interface {
-	evm.ExecState
-	core.MoveState
-}
-
-// applyTx executes one transaction against st, charging fees and producing
-// a receipt. Failed transactions still pay for the gas they consumed. With
-// st == c.db this is exactly the serial execution path; the parallel
-// scheduler passes speculative views and commit overlays instead, and the
-// receipt it keeps is byte-identical by construction.
-func (c *Chain) applyTx(st execState, tx *types.Transaction, blockCtx evm.BlockContext) *types.Receipt {
+// applyTx executes one transaction against the chain's state, charging
+// fees and producing a receipt. Failed transactions still pay for the gas
+// they consumed.
+func (c *Chain) applyTx(tx *types.Transaction, blockCtx evm.BlockContext) *types.Receipt {
 	rec := &types.Receipt{TxID: tx.ID(), Status: types.ReceiptFailed}
 	// Authenticate before touching state: executing on a trusted tx.From
 	// would let a forged From spend any account's balance. Sender memoizes
@@ -557,7 +513,7 @@ func (c *Chain) applyTx(st execState, tx *types.Transaction, blockCtx evm.BlockC
 	}
 	sched := &c.cfg.Schedule
 
-	if got := st.GetNonce(sender); tx.Nonce != got {
+	if got := c.db.GetNonce(sender); tx.Nonce != got {
 		rec.Err = fmt.Sprintf("bad nonce %d, account at %d", tx.Nonce, got)
 		return rec
 	}
@@ -567,18 +523,18 @@ func (c *Chain) applyTx(st execState, tx *types.Transaction, blockCtx evm.BlockC
 		return rec
 	}
 	fee := u256.FromUint64(tx.GasLimit).Mul(tx.GasPrice)
-	if st.GetBalance(sender).Lt(fee.Add(tx.Value)) {
+	if c.db.GetBalance(sender).Lt(fee.Add(tx.Value)) {
 		rec.Err = "insufficient funds for gas * price + value"
 		return rec
 	}
-	st.SubBalance(sender, fee)
+	c.db.SubBalance(sender, fee)
 	if tx.Kind != types.TxCreate {
 		// For creates, vm.Create consumes the nonce itself (the deployed
 		// address is derived from it); bumping here would double-count.
-		st.SetNonce(sender, tx.Nonce+1)
+		c.db.SetNonce(sender, tx.Nonce+1)
 	}
 
-	vm := evm.New(c.cfg.Schedule, st, blockCtx,
+	vm := evm.New(c.cfg.Schedule, c.db, blockCtx,
 		evm.TxContext{Origin: sender, GasPrice: tx.GasPrice}, c.cfg.Natives)
 	gas := tx.GasLimit - intrinsic
 
@@ -592,16 +548,16 @@ func (c *Chain) applyTx(st execState, tx *types.Transaction, blockCtx evm.BlockC
 	case types.TxCreate:
 		rec.Created, gasLeft, execErr = vm.Create(sender, tx.Data, tx.Value, gas)
 	case types.TxMove2:
-		gasLeft, execErr = c.applyMove2(vm, st, tx, gas)
+		gasLeft, execErr = c.applyMove2(vm, tx, gas)
 	default:
 		execErr = fmt.Errorf("unknown tx kind %d", tx.Kind)
 	}
 
 	rec.GasUsed = tx.GasLimit - gasLeft
 	refund := u256.FromUint64(gasLeft).Mul(tx.GasPrice)
-	st.AddBalance(sender, refund)
-	st.AddBalance(blockCtx.Coinbase, u256.FromUint64(rec.GasUsed).Mul(tx.GasPrice))
-	rec.Logs = st.TakeLogs()
+	c.db.AddBalance(sender, refund)
+	c.db.AddBalance(blockCtx.Coinbase, u256.FromUint64(rec.GasUsed).Mul(tx.GasPrice))
+	rec.Logs = c.db.TakeLogs()
 	if execErr != nil {
 		rec.Err = execErr.Error()
 		rec.Status = types.ReceiptFailed
@@ -615,7 +571,7 @@ func (c *Chain) applyTx(st execState, tx *types.Transaction, blockCtx evm.BlockC
 // applyMove2 charges the recreation gas of Alg. 1 (contract creation plus
 // one SSTORE per storage entry plus proof verification), verifies the
 // payload, imports the contract, and runs moveFinish(·).
-func (c *Chain) applyMove2(vm *evm.EVM, st execState, tx *types.Transaction, gas uint64) (uint64, error) {
+func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64) (uint64, error) {
 	if !tx.Value.IsZero() {
 		return gas, errors.New("move2 transaction must not carry value")
 	}
@@ -625,17 +581,17 @@ func (c *Chain) applyMove2(vm *evm.EVM, st execState, tx *types.Transaction, gas
 		return 0, fmt.Errorf("%w: move2 needs %d", evm.ErrOutOfGas, cost)
 	}
 	gas -= cost
-	snap := st.Snapshot()
-	acct, err := core.VerifyMove2(c.cfg.ChainID, st, c.headers, p)
+	snap := c.db.Snapshot()
+	acct, err := core.VerifyMove2(c.cfg.ChainID, c.db, c.headers, p)
 	if err != nil {
 		return gas, err
 	}
-	core.ApplyMove2(st, p, acct)
+	core.ApplyMove2(c.db, p, acct)
 	// moveFinish(·): the custom completion routine (Alg. 1 line 13). Its
 	// failure aborts the whole Move2.
 	_, left, err := vm.Call(tx.From, p.Contract, core.MoveFinishInput, u256.Zero(), gas)
 	if err != nil {
-		st.RevertToSnapshot(snap)
+		c.db.RevertToSnapshot(snap)
 		return left, fmt.Errorf("moveFinish: %w", err)
 	}
 	return left, nil

@@ -175,7 +175,7 @@ func TestBadNonceFailsWithoutFee(t *testing.T) {
 	kp := keys.Deterministic(1)
 	c := newChain(t, ethConfig(1), nil, kp)
 	tx := signedCall(t, kp, 1, 7, hashing.AddressFromBytes([]byte{1}), nil, 0)
-	rec := c.applyTx(c.StateDB(), tx, evm.BlockContext{ChainID: 1, GasLimit: 30_000_000})
+	rec := c.applyTx(tx, evm.BlockContext{ChainID: 1, GasLimit: 30_000_000})
 	if rec.Succeeded() || rec.GasUsed != 0 {
 		t.Fatalf("receipt %+v", rec)
 	}

@@ -5,12 +5,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"scmove/internal/evm/asm"
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
-	"scmove/internal/metrics"
 	"scmove/internal/types"
 	"scmove/internal/u256"
 )
@@ -41,9 +39,9 @@ func fuzzSenders() []*keys.KeyPair {
 // transfers (some to the coinbase), conflicting and disjoint contract calls,
 // creates, self-destruct calls, bad nonces, underfunded value sends, forged
 // senders, and duplicated pointers — then chunks them into random block
-// batches including empty and sub-threshold ones. Every transaction is
-// decoded from its wire form so no run inherits memoized senders, and
-// duplicate pointers stay duplicates.
+// batches including empty ones. Every transaction is decoded from its wire
+// form so no run inherits memoized senders, and duplicate pointers stay
+// duplicates.
 func buildFuzzTraffic(t *testing.T, seed int64, chainID hashing.ChainID) [][]*types.Transaction {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -67,7 +65,7 @@ func buildFuzzTraffic(t *testing.T, seed int64, chainID hashing.ChainID) [][]*ty
 			to := hashing.AddressFromBytes([]byte{byte(rng.Intn(20) + 1)})
 			push(signedCall(t, kp, chainID, nonces[s], to, nil, uint64(rng.Intn(500)+1)))
 			nonces[s]++
-		case 2: // transfer straight to the coinbase (conflicts with every fee credit base)
+		case 2: // transfer straight to the coinbase
 			push(signedCall(t, kp, chainID, nonces[s], ProposerAddress(chainID, 0), nil, uint64(rng.Intn(100)+1)))
 			nonces[s]++
 		case 3, 4: // read-modify-write on the shared slot
@@ -104,15 +102,15 @@ func buildFuzzTraffic(t *testing.T, seed int64, chainID hashing.ChainID) [][]*ty
 		}
 		if len(txs) > 0 && rng.Intn(10) == 0 {
 			// Duplicate pointer: same *Transaction twice in the stream. The
-			// second execution sees a consumed nonce and fails identically on
-			// both engines; in one block it also exercises the skip list.
+			// second execution sees a consumed nonce and fails; in one block
+			// sender recovery must also recover the pointer only once.
 			txs = append(txs, txs[len(txs)-1])
 		}
 	}
 
 	var blocks [][]*types.Transaction
 	for i := 0; i < len(txs); {
-		n := rng.Intn(13) // 0..12: empty, sub-threshold, and full batches
+		n := rng.Intn(13) // 0..12: empty to full batches
 		if i+n > len(txs) {
 			n = len(txs) - i
 		}
@@ -123,8 +121,8 @@ func buildFuzzTraffic(t *testing.T, seed int64, chainID hashing.ChainID) [][]*ty
 }
 
 // runFuzzChain replays the block stream on a fresh chain and returns every
-// commit root, header hash, and receipt, plus the observability registry.
-func runFuzzChain(t *testing.T, cfg Config, blocks [][]*types.Transaction) ([]hashing.Hash, []hashing.Hash, []*types.Receipt, *metrics.Registry) {
+// commit root, header hash, and receipt.
+func runFuzzChain(t *testing.T, cfg Config, blocks [][]*types.Transaction) ([]hashing.Hash, []hashing.Hash, []*types.Receipt) {
 	t.Helper()
 	kps := fuzzSenders()
 	c := newChain(t, cfg, nil, kps[0])
@@ -136,8 +134,6 @@ func runFuzzChain(t *testing.T, cfg Config, blocks [][]*types.Transaction) ([]ha
 	db.CreateContract(fuzzDisjointAddr, fuzzDisjointCode)
 	db.CreateContract(fuzzBoomAddr, fuzzBoomCode)
 	db.Commit()
-	reg := metrics.NewRegistry()
-	c.SetObserver(reg, func() time.Duration { return 0 })
 
 	var roots, headers []hashing.Hash
 	var receipts []*types.Receipt
@@ -148,31 +144,29 @@ func runFuzzChain(t *testing.T, cfg Config, blocks [][]*types.Transaction) ([]ha
 		headers = append(headers, b.Header.Hash())
 		receipts = append(receipts, recs...)
 	}
-	return roots, headers, receipts, reg
+	return roots, headers, receipts
 }
 
-// TestApplyBlockParallelDifferential is the serial-identity gate of the
-// optimistic executor: the same randomized traffic — conflicts, failures,
-// forgeries, duplicates, self-destructs, chaotic block sizes — must produce
-// bit-identical roots, header hashes, and receipts whether executed by the
-// serial loop or by the parallel scheduler at any GOMAXPROCS.
+// TestApplyBlockParallelDifferential replays the same randomized traffic —
+// conflicts, failures, forgeries, duplicates, self-destructs, chaotic block
+// sizes — at GOMAXPROCS 1, where sender recovery and commit hashing run
+// inline, and at higher settings, where they fan out on the crypto pool.
+// Roots, header hashes and receipts must be bit-identical.
 func TestApplyBlockParallelDifferential(t *testing.T) {
 	for _, cfgOf := range []func(hashing.ChainID) Config{ethConfig, burrowConfig} {
 		cfg := cfgOf(1)
-		name := cfg.TreeKind.String()
-		t.Run(name, func(t *testing.T) {
+		t.Run(cfg.TreeKind.String(), func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				serialCfg := cfg
-				serialCfg.ParallelThreshold = -1 // force the serial loop
-				wantRoots, wantHeaders, wantRecs, _ := runFuzzChain(t, serialCfg, buildFuzzTraffic(t, seed, cfg.ChainID))
-
-				parCfg := cfg
-				parCfg.ParallelThreshold = 1 // parallelize every non-empty block
-				parCfg.Strategy = StrategyOptimistic
+				var wantRoots, wantHeaders []hashing.Hash
+				var wantRecs []*types.Receipt
 				for _, procs := range []int{1, 2, 4, runtime.NumCPU()} {
 					prev := runtime.GOMAXPROCS(procs)
-					roots, headers, recs, reg := runFuzzChain(t, parCfg, buildFuzzTraffic(t, seed, cfg.ChainID))
+					roots, headers, recs := runFuzzChain(t, cfg, buildFuzzTraffic(t, seed, cfg.ChainID))
 					runtime.GOMAXPROCS(prev)
+					if procs == 1 {
+						wantRoots, wantHeaders, wantRecs = roots, headers, recs
+						continue
+					}
 					if !reflect.DeepEqual(roots, wantRoots) {
 						t.Fatalf("seed %d GOMAXPROCS=%d: state roots diverge", seed, procs)
 					}
@@ -182,35 +176,16 @@ func TestApplyBlockParallelDifferential(t *testing.T) {
 					if !reflect.DeepEqual(recs, wantRecs) {
 						t.Fatalf("seed %d GOMAXPROCS=%d: receipts diverge", seed, procs)
 					}
-					counters := reg.Counters()
-					if procs >= 2 && counters.Get("parallel.blocks") == 0 {
-						t.Fatalf("seed %d GOMAXPROCS=%d: scheduler never engaged", seed, procs)
-					}
-					if procs == 1 && counters.Get("parallel.blocks") != 0 {
-						t.Fatalf("seed %d: scheduler must stay off at GOMAXPROCS=1", seed)
-					}
-					if got, want := counters.Get("parallel.committed")+counters.Get("parallel.reexecuted"),
-						counters.Get("parallel.blocks"); want > 0 && got == 0 {
-						t.Fatalf("seed %d GOMAXPROCS=%d: no commits recorded", seed, procs)
-					}
 				}
 			}
 		})
 	}
 }
 
-// TestApplyBlockEmptyFastPath: an empty batch must not enter recovery or the
-// scheduler, and must still commit a block (possibly with an unchanged root).
+// TestApplyBlockEmptyFastPath: an empty batch must still commit a block,
+// with no receipts, no gas and an unchanged root.
 func TestApplyBlockEmptyFastPath(t *testing.T) {
-	kp := keys.Deterministic(1)
-	cfg := ethConfig(1)
-	cfg.ParallelThreshold = 1
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	c := newChain(t, cfg, nil, kp)
-	reg := metrics.NewRegistry()
-	c.SetObserver(reg, func() time.Duration { return 0 })
+	c := newChain(t, ethConfig(1), nil, keys.Deterministic(1))
 	root0, _ := c.RootAt(0)
 
 	block, receipts := c.ApplyBlock(nil, 100, ProposerAddress(1, 0))
@@ -222,161 +197,5 @@ func TestApplyBlockEmptyFastPath(t *testing.T) {
 	}
 	if root, _ := c.RootAt(1); root != root0 {
 		t.Fatal("empty block must not change state")
-	}
-	if reg.Counters().Get("parallel.blocks") != 0 {
-		t.Fatal("empty block must skip the scheduler")
-	}
-}
-
-// TestParallelThresholdGating: sub-threshold blocks run serially, at- or
-// above-threshold ones engage the scheduler; a negative threshold disables
-// it outright.
-func TestParallelThresholdGating(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	run := func(threshold, txCount int) uint64 {
-		kp := keys.Deterministic(1)
-		cfg := ethConfig(1)
-		cfg.ParallelThreshold = threshold
-		cfg.Strategy = StrategyOptimistic
-		c := newChain(t, cfg, nil, kp)
-		reg := metrics.NewRegistry()
-		c.SetObserver(reg, func() time.Duration { return 0 })
-		var txs []*types.Transaction
-		for i := 0; i < txCount; i++ {
-			txs = append(txs, signedCall(t, kp, 1, uint64(i), hashing.AddressFromBytes([]byte{7}), nil, 1))
-		}
-		c.ApplyBlock(txs, 100, ProposerAddress(1, 0))
-		return reg.Counters().Get("parallel.blocks")
-	}
-
-	if got := run(0, DefaultParallelThreshold-1); got != 0 {
-		t.Fatalf("sub-threshold block engaged the scheduler (%d)", got)
-	}
-	if got := run(0, DefaultParallelThreshold); got != 1 {
-		t.Fatalf("at-threshold block must engage the scheduler (%d)", got)
-	}
-	if got := run(-1, 20); got != 0 {
-		t.Fatalf("negative threshold must disable the scheduler (%d)", got)
-	}
-}
-
-// TestParallelAbortFallback drives a fully-conflicting block large enough to
-// trip the bounded-abort cutoff and checks both the counters and the result:
-// the block must still match serial execution exactly.
-func TestParallelAbortFallback(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	mkTxs := func() []*types.Transaction {
-		kp := keys.Deterministic(1)
-		var txs []*types.Transaction
-		for i := 0; i < 3*abortFallback; i++ {
-			tx := signedCall(t, kp, 1, uint64(i), fuzzRMWAddr, nil, 0)
-			dec, err := types.DecodeTransaction(tx.Encode())
-			if err != nil {
-				t.Fatal(err)
-			}
-			txs = append(txs, dec)
-		}
-		return txs
-	}
-	run := func(threshold int) (hashing.Hash, *metrics.Registry) {
-		kp := keys.Deterministic(1)
-		cfg := ethConfig(1)
-		cfg.ParallelThreshold = threshold
-		cfg.Strategy = StrategyOptimistic
-		c := newChain(t, cfg, nil, kp)
-		c.StateDB().CreateContract(fuzzRMWAddr, fuzzRMWCode)
-		c.StateDB().Commit()
-		reg := metrics.NewRegistry()
-		c.SetObserver(reg, func() time.Duration { return 0 })
-		b, _ := c.ApplyBlock(mkTxs(), 100, ProposerAddress(1, 0))
-		root, _ := c.RootAt(b.Header.Height)
-		return root, reg
-	}
-
-	wantRoot, _ := run(-1)
-	root, reg := run(1)
-	if root != wantRoot {
-		t.Fatal("conflicting block diverges from serial execution")
-	}
-	c := reg.Counters()
-	if c.Get("parallel.cutoffs") == 0 {
-		t.Fatalf("RMW chain must trip the abort cutoff: aborted=%d reexecuted=%d",
-			c.Get("parallel.aborted"), c.Get("parallel.reexecuted"))
-	}
-	if c.Get("parallel.aborted") < abortFallback {
-		t.Fatalf("aborted = %d, want >= %d", c.Get("parallel.aborted"), abortFallback)
-	}
-}
-
-// TestParallelPerTargetCutoff pins the cutoff's granularity: a hot-contract
-// abort storm at the front of a block must stop speculation only for that
-// contract, not for the unrelated disjoint transactions behind it. Under
-// the old 8-consecutive-global cutoff the disjoint tail was forced onto
-// the serial path; per-target, every disjoint transaction still commits
-// speculatively and exactly one cutoff fires.
-func TestParallelPerTargetCutoff(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	const hot = 2*abortFallback + 1 // 1 commit + 8 aborts trip the cutoff, 8 ride serial
-	const cold = 16
-	mkTxs := func() []*types.Transaction {
-		var txs []*types.Transaction
-		push := func(tx *types.Transaction) {
-			dec, err := types.DecodeTransaction(tx.Encode())
-			if err != nil {
-				t.Fatal(err)
-			}
-			txs = append(txs, dec)
-		}
-		for i := 0; i < hot; i++ {
-			push(signedCall(t, keys.Deterministic(uint64(i+1)), 1, 0, fuzzRMWAddr, nil, 0))
-		}
-		for i := 0; i < cold; i++ {
-			var data [32]byte
-			data[31] = byte(i + 1)
-			push(signedCall(t, keys.Deterministic(uint64(hot+i+1)), 1, 0, fuzzDisjointAddr, data[:], 0))
-		}
-		return txs
-	}
-	run := func(threshold int) (hashing.Hash, *metrics.Registry) {
-		cfg := ethConfig(1)
-		cfg.ParallelThreshold = threshold
-		cfg.Strategy = StrategyOptimistic
-		c := newChain(t, cfg, nil, keys.Deterministic(1))
-		db := c.StateDB()
-		for i := 2; i <= hot+cold; i++ {
-			db.AddBalance(keys.Deterministic(uint64(i)).Address(), u256.FromUint64(fund))
-		}
-		db.CreateContract(fuzzRMWAddr, fuzzRMWCode)
-		db.CreateContract(fuzzDisjointAddr, fuzzDisjointCode)
-		db.Commit()
-		reg := metrics.NewRegistry()
-		c.SetObserver(reg, func() time.Duration { return 0 })
-		b, _ := c.ApplyBlock(mkTxs(), 100, ProposerAddress(1, 0))
-		root, _ := c.RootAt(b.Header.Height)
-		return root, reg
-	}
-
-	wantRoot, _ := run(-1)
-	root, reg := run(1)
-	if root != wantRoot {
-		t.Fatal("per-target cutoff block diverges from serial execution")
-	}
-	c := reg.Counters()
-	if got := c.Get("parallel.cutoffs"); got != 1 {
-		t.Fatalf("parallel.cutoffs = %d, want exactly 1 (the hot contract)", got)
-	}
-	// The first hot transaction and every disjoint transaction commit
-	// speculatively; only the hot tail rides the serial path.
-	if got, want := c.Get("parallel.committed"), uint64(cold+1); got != want {
-		t.Fatalf("parallel.committed = %d, want %d (disjoint txs must not be cut off)", got, want)
-	}
-	if got, want := c.Get("parallel.reexecuted"), uint64(hot-1); got != want {
-		t.Fatalf("parallel.reexecuted = %d, want %d (hot tail only)", got, want)
 	}
 }
