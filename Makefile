@@ -55,12 +55,12 @@ benchgate:
 # workload signing pipeline, serial ApplyBlock (randomized differential
 # traffic and the disjoint, conflicting and Kitties breeding-DAG blocks),
 # FIFO batch selection, the fault-injected chaos cell, the state backends,
-# and the parallel per-tick universe driver (16-chain policy-on scaling
-# cell, serial vs laned drivers): bit-identical results at every worker
+# and the 16-chain policy-on sharded scaling cell (whose fingerprint hash
+# is also pinned to a constant): bit-identical results at every worker
 # count.
 detsmoke:
-	$(GO) test -run 'TestVerifyBatchMatchesSerial|TestRecoverSendersMatchesSerialAcrossGOMAXPROCS|TestCommitParallelMatchesSerial|TestHashParallelMatchesRootHashAndProofs|TestApplyBlockParallelDeterminism|TestApplyBlockParallelDifferential|TestNextBatchMatchesLegacyFIFO|TestKittiesReplayCrossGOMAXPROCSDeterminism|TestApplyBlockParallelMatchesSerial|TestChaosCellCrossGOMAXPROCS|TestBackendConformanceDifferential|TestShardedScalingCrossGOMAXPROCSDeterminism|TestRunUntilParallelMatchesSerial' \
-		./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ ./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/simclock/
+	$(GO) test -run 'TestVerifyBatchMatchesSerial|TestRecoverSendersMatchesSerialAcrossGOMAXPROCS|TestCommitParallelMatchesSerial|TestHashParallelMatchesRootHashAndProofs|TestApplyBlockParallelDeterminism|TestApplyBlockParallelDifferential|TestNextBatchMatchesLegacyFIFO|TestKittiesReplayCrossGOMAXPROCSDeterminism|TestApplyBlockParallelMatchesSerial|TestChaosCellCrossGOMAXPROCS|TestBackendConformanceDifferential|TestShardedScalingCrossGOMAXPROCSDeterminism' \
+		./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ ./internal/txpool/ ./internal/workload/ ./internal/bench/
 
 # expsmoke is the experiment-output sanity gate: a CI-scale ablations run
 # plus a chaos run with metrics and span tracing on, captured to /tmp and
@@ -119,10 +119,10 @@ rpcsmoke:
 statesmoke:
 	SCMOVE_STATESMOKE=1 $(GO) test -run TestStateSmoke -count=1 -timeout 900s ./internal/bench/
 
-# shardsmoke is the sharded-universe scale gate: a 64-chain laned universe
-# with a 100k keyed-user population (SCMOVE_SHARDSMOKE_USERS=1000000 for
-# the full target), lazy relay mesh, parallel-tick driver, and the
-# auto-migration policy engine live. The run must complete with contracts
+# shardsmoke is the sharded-universe scale gate: a 64-chain universe with
+# a 100k keyed-user population (SCMOVE_SHARDSMOKE_USERS=1000000 for the
+# full target), a WAN per chain, lazy relay mesh, and the auto-migration
+# policy engine live. The run must complete with contracts
 # actually migrating off the congested home shard.
 shardsmoke:
 	SCMOVE_SHARDSMOKE=1 $(GO) test -run TestShardSmoke -count=1 -timeout 900s ./internal/workload/

@@ -485,16 +485,12 @@ func runFig6Grid(iters int) (Result, error) {
 }
 
 // runShardScaling measures one cell of the sharded-universe scaling grid:
-// an S-chain laned universe, every contract deployed on one congested
-// shard, and the auto-migration policy engine spreading them to their
-// callers' chains. The headline ns/op is the wall cost of the policy-on
-// run under the parallel-tick driver; the extras carry the simulated
-// steady-state throughput, the policy's throughput gain over the
-// frozen-contracts baseline, the driver speedup over the serial
-// discrete-event loop (on a single-core host this reports overhead), and
-// the migration count/spread. The serial and
-// parallel driver legs must produce bit-identical fingerprints — the cell
-// doubles as a determinism check at benchmark scale.
+// an S-chain universe, every contract deployed on one congested shard, and
+// the auto-migration policy engine spreading them to their callers'
+// chains. The headline ns/op is the wall cost of the policy-on run; the
+// extras carry the simulated steady-state throughput, the policy's
+// throughput gain over the frozen-contracts baseline, and the migration
+// count/spread.
 func runShardScaling(chains int) func(iters int) (Result, error) {
 	return func(iters int) (Result, error) {
 		var on *workload.ShardedScalingResult
@@ -512,15 +508,6 @@ func runShardScaling(chains int) func(iters int) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		scfg := workload.DefaultShardedScalingConfig(chains, true)
-		scfg.ParallelTick = false
-		serial, err := workload.RunShardedScaling(scfg)
-		if err != nil {
-			return Result{}, err
-		}
-		if serial.Fingerprint != on.Fingerprint {
-			return Result{}, fmt.Errorf("shard_scaling_%d: parallel-tick fingerprint diverged from serial", chains)
-		}
 		off, err := workload.RunShardedScaling(workload.DefaultShardedScalingConfig(chains, false))
 		if err != nil {
 			return Result{}, err
@@ -530,7 +517,6 @@ func runShardScaling(chains int) func(iters int) (Result, error) {
 			"policy_gain": on.Throughput / off.Throughput,
 			"moves":       float64(on.Moves.Completed),
 			"spread":      float64(on.FinalSpread),
-			"speedup":     float64(serial.Wall) / float64(on.Wall),
 			"gomaxprocs":  float64(procs),
 			"numcpu":      float64(runtime.NumCPU()),
 		}

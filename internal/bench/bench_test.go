@@ -4,8 +4,12 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"scmove/internal/hashing"
+	"scmove/internal/metrics"
 )
 
 func TestFig5ShapeThroughputScales(t *testing.T) {
@@ -202,5 +206,26 @@ func TestAblation2PC(t *testing.T) {
 	if res.TwoPCLatency < res.MoveLatency {
 		t.Errorf("2PC (%v) should not beat Move (%v) across heterogeneous chains",
 			res.TwoPCLatency, res.MoveLatency)
+	}
+}
+
+// TestFig5MarkersPrintInChainOrder pins that the limit-reached markers
+// render in ascending chain-ID order on every call, not in map order.
+func TestFig5MarkersPrintInChainOrder(t *testing.T) {
+	r := &Fig5Result{
+		Timeline:  []metrics.Point{{At: 0, TPS: 1}},
+		StarvedAt: map[hashing.ChainID]time.Duration{},
+	}
+	for _, id := range []hashing.ChainID{7, 3, 8, 1, 5, 2} {
+		r.StarvedAt[id] = time.Duration(id) * time.Second
+	}
+	want := "limit-reached markers:\n" +
+		"  chain-1 at 1.0s\n  chain-2 at 2.0s\n  chain-3 at 3.0s\n" +
+		"  chain-5 at 5.0s\n  chain-7 at 7.0s\n  chain-8 at 8.0s\n"
+	for i := 0; i < 20; i++ {
+		out := r.String()
+		if !strings.HasSuffix(out, want) {
+			t.Fatalf("call %d: markers not in chain order:\n%s", i, out)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"scmove/internal/hashing"
@@ -33,7 +35,8 @@ type Fig5Result struct {
 	// Timeline is the aggregated throughput over time for the largest shard
 	// count (Fig. 5 right).
 	Timeline []metrics.Point
-	// StarvedAt are the per-shard "limit reached" markers of Fig. 5 right.
+	// StarvedAt are the per-shard "limit reached" markers of Fig. 5 right,
+	// printed in ascending chain-ID order.
 	StarvedAt map[hashing.ChainID]time.Duration
 }
 
@@ -124,8 +127,8 @@ func (r *Fig5Result) String() string {
 		out += tl.String()
 		if len(r.StarvedAt) > 0 {
 			out += "limit-reached markers:\n"
-			for id, at := range r.StarvedAt {
-				out += fmt.Sprintf("  %s at %s\n", id, fmtDur(at))
+			for _, id := range slices.Sorted(maps.Keys(r.StarvedAt)) {
+				out += fmt.Sprintf("  %s at %s\n", id, fmtDur(r.StarvedAt[id]))
 			}
 		}
 	}

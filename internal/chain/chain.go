@@ -110,10 +110,8 @@ type Chain struct {
 	hInterval   string // "block.interval.<chain>"
 
 	// dispatch, when set, receives the closure that fires block listeners
-	// and tx waiters after ApplyBlock commits. Laned universes route it to
-	// the chain lane's Post so cross-chain callbacks (header relays, client
-	// nonce bookkeeping, workload drivers) run as global events between
-	// waves instead of inside a concurrent wave slot. Nil fires inline.
+	// and tx waiters after ApplyBlock commits (see SetDispatcher). Nil
+	// fires inline.
 	dispatch func(func())
 }
 
@@ -294,10 +292,11 @@ func (c *Chain) SetObserver(reg *metrics.Registry, now func() time.Duration) {
 }
 
 // SetDispatcher routes ApplyBlock's post-commit listener and waiter fires
-// through d instead of invoking them inline. Laned universes pass the chain
-// lane's Post so callbacks that touch other chains or shared client state
-// run serially on the global timeline — in both the serial and parallel
-// drivers, keeping their event streams identical. A nil d restores inline
+// through d instead of invoking them inline. Universes built with
+// PerChainWAN pass a d that posts the fire as a separate timeline event at
+// the current simulated time, so callbacks that touch other chains or
+// shared client state (header relays, client nonce bookkeeping, workload
+// drivers) run after the block's own event. A nil d restores inline
 // firing.
 func (c *Chain) SetDispatcher(d func(func())) { c.dispatch = d }
 

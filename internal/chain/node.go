@@ -30,14 +30,14 @@ func ProposerAddress(chain hashing.ChainID, index int) hashing.Address {
 type BFTNode struct {
 	Chain   *Chain
 	Cluster *tendermint.Cluster
-	sched   simclock.Clock
+	sched   *simclock.Scheduler
 	app     *bftApp
 }
 
 // bftApp adapts Chain to the tendermint.App interface.
 type bftApp struct {
 	chain    *Chain
-	sched    simclock.Clock
+	sched    *simclock.Scheduler
 	counters *metrics.Counters
 }
 
@@ -69,7 +69,7 @@ func (a *bftApp) Commit(height uint64, payload []byte) {
 // consensus traffic: the deterministic discrete-event network by default,
 // or real TCP sockets for wall-clock runs. Call Start to begin producing
 // blocks.
-func NewBFTNode(sched simclock.Clock, net simnet.Transport, c *Chain,
+func NewBFTNode(sched *simclock.Scheduler, net simnet.Transport, c *Chain,
 	cfg tendermint.Config, ids []simnet.NodeID, regions []simnet.Region) (*BFTNode, error) {
 	app := &bftApp{chain: c, sched: sched}
 	cluster, err := tendermint.NewCluster(sched, net, app, cfg, ids, regions)
@@ -95,7 +95,7 @@ func (n *BFTNode) Observe(c *metrics.Counters) {
 // configuration) by a rotating set of miners.
 type PoWNode struct {
 	Chain *Chain
-	sched simclock.Clock
+	sched *simclock.Scheduler
 	timer *pow.Timer
 
 	minerCount int
@@ -105,7 +105,7 @@ type PoWNode struct {
 
 // NewPoWNode creates a PoW-driven chain with the given miner count and a
 // seeded block timer.
-func NewPoWNode(sched simclock.Clock, c *Chain, seed int64, minerCount int) *PoWNode {
+func NewPoWNode(sched *simclock.Scheduler, c *Chain, seed int64, minerCount int) *PoWNode {
 	if minerCount <= 0 {
 		minerCount = 1
 	}
@@ -139,7 +139,7 @@ func (n *PoWNode) scheduleNext() {
 // every block committed on src is relayed (header plus head height) to
 // dst's header store after the given network delay. Miners/validators of
 // interoperating chains run exactly this kind of relay (paper §IV-A).
-func ConnectHeaderRelay(sched simclock.Clock, src, dst *Chain, delay time.Duration) {
+func ConnectHeaderRelay(sched *simclock.Scheduler, src, dst *Chain, delay time.Duration) {
 	ConnectHeaderRelayVia(src, dst, simnet.NewLink(sched, delay, simnet.LinkFaults{}, 0), 1)
 }
 

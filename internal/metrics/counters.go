@@ -12,11 +12,11 @@ import (
 // events (message drops, duplicates, relayer retries, recoveries, timed-out
 // moves) next to the throughput/latency metrics.
 //
-// A mutex guards the map: laned universes increment shared counters from
-// concurrent per-chain wave workers. Addition commutes, so final values are
-// deterministic even though increment order is not; reads that must be
-// consistent (Snapshot, String) happen after the run, like everything else
-// that inspects results.
+// A mutex makes every method safe for concurrent use. One set is shared by
+// reference across a universe (movers, links, header stores and a folding
+// Registry all hold it), and the type cannot know which goroutines those
+// holders run on; the discrete-event simulation happens to use one, so
+// the lock is uncontended there.
 type Counters struct {
 	mu   sync.Mutex
 	vals map[string]uint64

@@ -17,9 +17,8 @@ import (
 // universe handle, so it composes with any harness and imports no wiring
 // packages.
 type Config struct {
-	// Clock is the global scheduler. Ticks, move submissions, and location
-	// updates are all global events: in a laned universe the policy reads
-	// and steers every chain, so it must run between waves.
+	// Clock is the universe's scheduler. Ticks, move submissions, and
+	// location updates all run as events on it.
 	Clock *simclock.Scheduler
 	// Chains lists the shards in configuration order.
 	Chains []*chain.Chain

@@ -5,8 +5,10 @@
 // Ethereum). This reproduction replays the same protocols in simulated
 // time: every node action is an event on one totally-ordered timeline, so
 // a multi-hour experiment executes in milliseconds and is reproducible
-// bit-for-bit. Latency and throughput numbers reported by the benchmarks
-// are simulated-clock readings.
+// bit-for-bit. Scheduler.RunUntil executes that timeline one event at a
+// time, in (time, scheduling order); Realtime drives the same scheduler on
+// the wall clock for live deployments. Latency and throughput numbers
+// reported by the benchmarks are simulated-clock readings.
 package simclock
 
 import (
@@ -15,10 +17,8 @@ import (
 
 // Scheduler is a discrete-event clock. The zero value is ready to use.
 // It is not safe for concurrent use: the simulation timeline is single-
-// threaded by design, which is what makes runs deterministic. The one
-// structured exception is RunUntilParallel (lane.go), which executes
-// same-timestamp events of distinct lanes on a bounded worker pool while
-// reproducing the serial pop order bit for bit.
+// threaded by design, which is what makes runs deterministic. Wall-clock
+// runs inject work from other goroutines only through Realtime.Post.
 //
 // The event queue is a hand-rolled binary heap over event values (not
 // pointers), so scheduling an event allocates nothing beyond amortized
@@ -27,9 +27,6 @@ type Scheduler struct {
 	now    time.Duration
 	queue  []event
 	nextID uint64
-
-	lanes []*Lane
-	wave  *waveState // non-nil while a multi-lane wave executes
 }
 
 // New returns an empty scheduler at time zero.
@@ -43,24 +40,13 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 func (s *Scheduler) NowUnix() uint64 { return uint64(s.now / time.Second) }
 
 // At schedules fn to run at absolute simulated time t. Events scheduled in
-// the past run at the current time, in scheduling order. Events scheduled
-// through the Scheduler directly are global: the parallel driver treats
-// them as barriers between lane waves, so calling At from inside a lane
-// event is a design violation and panics while a wave is executing.
+// the past run at the current time, in scheduling order.
 func (s *Scheduler) At(t time.Duration, fn func()) {
-	if s.wave != nil {
-		panic("simclock: Scheduler.At called during a parallel wave (lane events must schedule through their Lane)")
-	}
-	s.insert(t, fn, nil)
-}
-
-// insert places one event on the heap with the given lane tag.
-func (s *Scheduler) insert(t time.Duration, fn func(), lane *Lane) {
 	if t < s.now {
 		t = s.now
 	}
 	s.nextID++
-	s.queue = append(s.queue, event{at: t, seq: s.nextID, fn: fn, lane: lane})
+	s.queue = append(s.queue, event{at: t, seq: s.nextID, fn: fn})
 	s.siftUp(len(s.queue) - 1)
 }
 
@@ -114,10 +100,6 @@ type event struct {
 	at  time.Duration
 	seq uint64 // tie-break: FIFO among same-time events
 	fn  func()
-	// lane is the chain lane the event is confined to, or nil for global
-	// events. Plain RunUntil ignores the tag entirely; RunUntilParallel
-	// executes runs of consecutive same-timestamp lane events concurrently.
-	lane *Lane
 }
 
 // less orders events by time, then scheduling order. The (at, seq) pair is
@@ -128,6 +110,19 @@ func (s *Scheduler) less(i, j int) bool {
 		return s.queue[i].at < s.queue[j].at
 	}
 	return s.queue[i].seq < s.queue[j].seq
+}
+
+// pop removes and returns the heap minimum without running it.
+func (s *Scheduler) pop() event {
+	ev := s.queue[0]
+	last := len(s.queue) - 1
+	s.queue[0] = s.queue[last]
+	s.queue[last] = event{} // release the closure for GC
+	s.queue = s.queue[:last]
+	if last > 0 {
+		s.siftDown(0)
+	}
+	return ev
 }
 
 func (s *Scheduler) siftUp(i int) {

@@ -86,7 +86,7 @@ func DefaultTamper(rng *rand.Rand, msg []byte) []byte {
 // it. Faults are drawn from a seeded RNG so chaos runs are deterministic,
 // and the link can be cut outright to model a partitioned relayer.
 type Link struct {
-	sched  simclock.Clock
+	sched  *simclock.Scheduler
 	rng    *rand.Rand
 	seed   int64
 	base   time.Duration
@@ -104,13 +104,9 @@ type Link struct {
 }
 
 // NewLink returns a link with the given base one-way delay and fault
-// configuration, drawing fault decisions from the seeded RNG. The clock
-// decides where deliveries run: laned universes build each header-relay
-// link on the destination chain's lane, so deliveries (which touch only
-// that chain's header store) execute on its lane. Sends — and with them
-// every RNG draw — must happen from global contexts in a laned universe so
-// the fault stream stays deterministic.
-func NewLink(sched simclock.Clock, base time.Duration, faults LinkFaults, seed int64) *Link {
+// configuration, drawing fault decisions from the seeded RNG. Deliveries
+// run as events on sched.
+func NewLink(sched *simclock.Scheduler, base time.Duration, faults LinkFaults, seed int64) *Link {
 	return &Link{
 		sched:  sched,
 		rng:    rand.New(rand.NewSource(seed)),

@@ -115,7 +115,7 @@ func (c Config) faults() LinkFaults {
 // Network delivers messages between registered nodes over the simulated
 // clock. It is single-threaded, like everything on the scheduler.
 type Network struct {
-	sched simclock.Clock
+	sched *simclock.Scheduler
 	cfg   Config
 	rng   *rand.Rand
 
@@ -134,9 +134,8 @@ type Network struct {
 	reg      *metrics.Registry // optional; feeds in-flight gauges
 	// gInflight/gPeak are the in-flight gauge names ("wan.inflight" by
 	// default), precomputed so the per-message send/delivery paths never
-	// build strings. Laned universes run one Network per chain and give
-	// each a per-chain label, keeping gauge high-water marks lane-local
-	// and thus deterministic under the parallel driver.
+	// build strings. Universes with one Network per chain give each a
+	// per-chain label, so each chain's WAN reports its own high-water mark.
 	gInflight, gPeak string
 }
 
@@ -145,10 +144,8 @@ type nodeInfo struct {
 	handler Handler
 }
 
-// New returns an empty network on the given clock (the global scheduler,
-// or a per-chain lane in a laned universe — each consensus cluster's WAN
-// traffic is confined to its own chain).
-func New(sched simclock.Clock, cfg Config) *Network {
+// New returns an empty network whose deliveries run as events on sched.
+func New(sched *simclock.Scheduler, cfg Config) *Network {
 	return &Network{
 		sched:      sched,
 		cfg:        cfg,

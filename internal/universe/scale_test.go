@@ -126,17 +126,13 @@ func TestBulkUserProvisioning(t *testing.T) {
 	}
 }
 
-// TestLanedConfigValidation pins the laned mode's compatibility matrix.
+// TestLanedConfigValidation pins that PerChainWAN, a discrete-event
+// option, is rejected on the wall-clock driver.
 func TestLanedConfigValidation(t *testing.T) {
 	cfg := DefaultConfig(1)
-	cfg.Lanes = true
+	cfg.PerChainWAN = true
 	cfg.Realtime = true
 	if _, err := New(cfg); err == nil {
-		t.Fatal("Lanes+Realtime accepted")
-	}
-	cfg = DefaultConfig(1)
-	cfg.ParallelTick = true
-	if _, err := New(cfg); err == nil {
-		t.Fatal("ParallelTick without Lanes accepted")
+		t.Fatal("PerChainWAN+Realtime accepted")
 	}
 }

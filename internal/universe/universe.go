@@ -173,14 +173,17 @@ type Config struct {
 	// encoded frames between validator goroutines — instead of the
 	// discrete-event network. Requires Realtime.
 	TCPWan bool
-	// Lanes confines each chain — its consensus cluster, WAN instance, and
-	// block commits — to its own scheduler lane: same-timestamp events of
-	// distinct chains may then execute concurrently under the parallel
-	// per-tick driver (ParallelTick) with results bit-identical to the
-	// serial driver. Block listeners and tx waiters are re-dispatched onto
-	// the global timeline, so cross-chain callbacks (header relays, movers,
-	// workload drivers) are unaffected. Incompatible with Realtime/TCPWan.
-	Lanes bool
+	// PerChainWAN gives each chain its own consensus network and defers
+	// its block callbacks:
+	//   - each chain's validators talk over a simnet.Network of their own,
+	//     seeded from the chain's configuration position and reporting its
+	//     in-flight gauges as "wan.<chain>";
+	//   - block listeners and tx waiters fire as a separate timeline event
+	//     at the commit's simulated time (chain.SetDispatcher), not inline
+	//     in the block's event.
+	// Both set the RNG streams and event order of the scaling experiments.
+	// Incompatible with Realtime/TCPWan.
+	PerChainWAN bool
 	// LazyRelays skips building the O(chains²) bidirectional header-relay
 	// mesh at construction: links come into existence on first use, when
 	// Mover (or EnsureRelay) touches a pair. Setup cost becomes
@@ -200,12 +203,10 @@ type Config struct {
 	// UserFunds is each user's genesis balance on its home chain (defaults
 	// to ClientFunds when zero).
 	UserFunds u256.Int
-	// ParallelTick runs the simulation with the parallel per-tick driver:
-	// within one simulated timestamp, events of distinct chains execute on a
-	// bounded worker pool. Requires Lanes. Results are bit-identical to the
-	// serial driver.
+	// Deprecated: has no effect. The simulation always runs on the serial
+	// Scheduler.RunUntil driver.
 	ParallelTick bool
-	// TickWorkers bounds the parallel driver's worker pool (0 = GOMAXPROCS).
+	// Deprecated: has no effect.
 	TickWorkers int
 }
 
@@ -245,17 +246,16 @@ func ShardedConfig(shards, clients int) Config {
 }
 
 // ShardedScaleConfig returns an S-shard Burrow deployment tuned for the
-// scaling experiments: laned chains under the parallel per-tick driver, a
-// lazily built header-relay mesh, and a keyed user population funded across
-// the shards. validators ≤ 0 keeps the paper's 10 per shard; the scaling
+// scaling experiments: a WAN per chain (PerChainWAN), a lazily built
+// header-relay mesh, and a keyed user population funded across the
+// shards. validators ≤ 0 keeps the paper's 10 per shard; the scaling
 // grid uses 4 to keep the consensus message volume proportionate at 64
 // chains. A handful of regular clients ride along as relayer/deployer
 // identities.
 func ShardedScaleConfig(shards, validators, users int) Config {
 	cfg := ShardedConfig(shards, 4)
-	cfg.Lanes = true
+	cfg.PerChainWAN = true
 	cfg.LazyRelays = true
-	cfg.ParallelTick = true
 	cfg.Users = users
 	cfg.UserFunds = u256.FromUint64(1 << 50)
 	if validators > 0 {
@@ -330,18 +330,15 @@ type Universe struct {
 	submitLinks map[hashing.ChainID]*simnet.Link
 	relayLinks  map[[2]hashing.ChainID]*simnet.Link
 
-	// Laned/scaling state (Config.Lanes, LazyRelays, Users, ParallelTick).
-	lanes        map[hashing.ChainID]*simclock.Lane
-	pos          map[hashing.ChainID]int // chain position in configuration order
-	lazyRelays   bool
-	relayDelay   time.Duration
-	relayFaults  simnet.LinkFaults
-	relayWindow  int
-	relaySeed    int64
-	users        int
-	submitDelay  time.Duration
-	parallelTick bool
-	tickWorkers  int
+	// Scaling state (Config.LazyRelays, Users).
+	pos         map[hashing.ChainID]int // chain position in configuration order
+	lazyRelays  bool
+	relayDelay  time.Duration
+	relayFaults simnet.LinkFaults
+	relayWindow int
+	relaySeed   int64
+	users       int
+	submitDelay time.Duration
 
 	driver  *simclock.Realtime // non-nil with Config.Realtime
 	tcp     *simnet.TCP        // non-nil with Config.TCPWan
@@ -360,11 +357,8 @@ func New(cfg Config) (*Universe, error) {
 	if cfg.Realtime && cfg.Chaos != nil {
 		return nil, errors.New("universe: Chaos is a discrete-event feature, incompatible with Realtime")
 	}
-	if cfg.Lanes && cfg.Realtime {
-		return nil, errors.New("universe: Lanes is a discrete-event feature, incompatible with Realtime")
-	}
-	if cfg.ParallelTick && !cfg.Lanes {
-		return nil, errors.New("universe: ParallelTick requires Lanes")
+	if cfg.PerChainWAN && cfg.Realtime {
+		return nil, errors.New("universe: PerChainWAN is a discrete-event feature, incompatible with Realtime")
 	}
 	sched := simclock.New()
 	netCfg := simnet.Config{JitterFrac: 0.1, Seed: cfg.NetSeed}
@@ -404,11 +398,6 @@ func New(cfg Config) (*Universe, error) {
 		relayWindow: 1,
 		users:       cfg.Users,
 		submitDelay: cfg.SubmitDelay,
-	}
-	if cfg.Lanes {
-		u.lanes = make(map[hashing.ChainID]*simclock.Lane, len(cfg.Specs))
-		u.parallelTick = cfg.ParallelTick
-		u.tickWorkers = cfg.TickWorkers
 	}
 	net.Observe(u.counters)
 	if cfg.Realtime {
@@ -523,30 +512,19 @@ func New(cfg Config) (*Universe, error) {
 			c.SetObserver(u.reg, sched.Now)
 		}
 
-		// In laned mode each chain gets its own lane and its own WAN
-		// instance built on it: consensus timers, validator message
-		// deliveries, and block commits all become lane events, executable
-		// concurrently with other chains' same-timestamp events. Block
-		// listeners and tx waiters are re-dispatched onto the global
-		// timeline via Post — cross-chain callbacks must run between waves,
-		// and routing them in both drivers keeps the serial and parallel
-		// event streams identical.
-		clk := simclock.Clock(sched)
+		// See Config.PerChainWAN.
 		tp := transport
-		if cfg.Lanes {
-			lane := sched.NewLane()
-			u.lanes[spec.Config.ChainID] = lane
-			clk = lane
-			laneNetCfg := netCfg
-			laneNetCfg.Seed = netCfg.Seed + int64(pos)*1_000_003 + 11
-			cnet := simnet.New(lane, laneNetCfg)
+		if cfg.PerChainWAN {
+			chainNetCfg := netCfg
+			chainNetCfg.Seed = netCfg.Seed + int64(pos)*1_000_003 + 11
+			cnet := simnet.New(sched, chainNetCfg)
 			cnet.Observe(u.counters)
 			cnet.SetGaugeLabel("wan." + spec.Config.ChainID.String())
 			if u.reg != nil {
 				cnet.SetRegistry(u.reg)
 			}
 			tp = cnet
-			c.SetDispatcher(lane.Post)
+			c.SetDispatcher(func(fn func()) { sched.At(sched.Now(), fn) })
 		}
 
 		switch spec.Consensus {
@@ -561,7 +539,7 @@ func New(cfg Config) (*Universe, error) {
 			}
 			tmCfg := tendermint.DefaultConfig()
 			tmCfg.Interval = spec.Config.BlockInterval
-			node, err := chain.NewBFTNode(clk, tp, c, tmCfg, ids, regions)
+			node, err := chain.NewBFTNode(sched, tp, c, tmCfg, ids, regions)
 			if err != nil {
 				return nil, fmt.Errorf("universe: %w", err)
 			}
@@ -576,7 +554,7 @@ func New(cfg Config) (*Universe, error) {
 			}
 			u.bft = append(u.bft, node)
 		case ConsensusPoW:
-			u.pow = append(u.pow, chain.NewPoWNode(clk, c, spec.Seed, spec.Validators))
+			u.pow = append(u.pow, chain.NewPoWNode(sched, c, spec.Seed, spec.Validators))
 		default:
 			return nil, fmt.Errorf("universe: unknown consensus kind %d", spec.Consensus)
 		}
@@ -601,13 +579,7 @@ func New(cfg Config) (*Universe, error) {
 		for _, a := range u.order {
 			for _, b := range u.order {
 				if a != b {
-					clk := simclock.Clock(sched)
-					if lane, ok := u.lanes[b]; ok {
-						// Deliveries touch only the destination chain's
-						// header store; build the link on its lane.
-						clk = lane
-					}
-					link := simnet.NewLink(clk, cfg.RelayDelay, relayFaults, chaosSeed+int64(pair)*104729+2)
+					link := simnet.NewLink(sched, cfg.RelayDelay, relayFaults, chaosSeed+int64(pair)*104729+2)
 					link.Observe(u.counters, "headers")
 					if u.reg != nil {
 						link.SetRegistry(u.reg)
@@ -677,19 +649,14 @@ func (u *Universe) RelayLinkCount() int { return len(u.relayLinks) }
 // registering its OnBlock forwarder) on first use. The link's fault seed
 // derives from the pair's configuration positions, so a lazily built mesh
 // behaves identically no matter which order traffic first touches the
-// pairs. Must be called from a global context (not inside a lane event):
-// it registers a block listener on chain a.
+// pairs.
 func (u *Universe) EnsureRelay(a, b hashing.ChainID) *simnet.Link {
 	key := [2]hashing.ChainID{a, b}
 	if link, ok := u.relayLinks[key]; ok {
 		return link
 	}
-	clk := simclock.Clock(u.Sched)
-	if lane, ok := u.lanes[b]; ok {
-		clk = lane
-	}
 	seed := u.relaySeed + (int64(u.pos[a])*int64(len(u.order))+int64(u.pos[b]))*104729 + 2
-	link := simnet.NewLink(clk, u.relayDelay, u.relayFaults, seed)
+	link := simnet.NewLink(u.Sched, u.relayDelay, u.relayFaults, seed)
 	link.Observe(u.counters, "headers")
 	if u.reg != nil {
 		link.SetRegistry(u.reg)
@@ -837,26 +804,9 @@ func (u *Universe) Mover(src, dst hashing.ChainID) *relay.Mover {
 	return m
 }
 
-// SetParallelTick switches the parallel per-tick driver on or off (only
-// meaningful in a laned universe; workers ≤ 0 means GOMAXPROCS). Results
-// are bit-identical either way — this is purely a wall-clock knob.
-func (u *Universe) SetParallelTick(on bool, workers int) {
-	u.parallelTick = on && u.lanes != nil
-	u.tickWorkers = workers
-}
-
 // Run advances the simulation by d.
 func (u *Universe) Run(d time.Duration) {
-	u.runTo(u.Sched.Now() + d)
-}
-
-// runTo advances to an absolute simulated time on the configured driver.
-func (u *Universe) runTo(t time.Duration) {
-	if u.parallelTick {
-		u.Sched.RunUntilParallel(t, u.tickWorkers)
-		return
-	}
-	u.Sched.RunUntil(t)
+	u.Sched.RunUntil(u.Sched.Now() + d)
 }
 
 // RunUntil advances the simulation until cond holds or the timeout elapses,
@@ -867,7 +817,7 @@ func (u *Universe) RunUntil(cond func() bool, timeout time.Duration) bool {
 		if cond() {
 			return true
 		}
-		u.runTo(u.Sched.Now() + 100*time.Millisecond)
+		u.Sched.RunUntil(u.Sched.Now() + 100*time.Millisecond)
 	}
 	return cond()
 }

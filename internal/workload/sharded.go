@@ -55,10 +55,10 @@ type ShardedScalingConfig struct {
 	Warmup time.Duration
 	// Duration is the measured window (default 4 min).
 	Duration time.Duration
-	// ParallelTick selects the parallel per-tick driver; results are
-	// bit-identical either way.
+	// Deprecated: has no effect. The simulation always runs on the serial
+	// Scheduler.RunUntil driver.
 	ParallelTick bool
-	// TickWorkers bounds the parallel driver's pool (0 = GOMAXPROCS).
+	// Deprecated: has no effect.
 	TickWorkers int
 	Seed        int64
 }
@@ -77,7 +77,6 @@ func DefaultShardedScalingConfig(chains int, policy bool) ShardedScalingConfig {
 		Interval:      20 * time.Second,
 		Warmup:        3 * time.Minute,
 		Duration:      4 * time.Minute,
-		ParallelTick:  true,
 		Seed:          31,
 	}
 }
@@ -95,19 +94,18 @@ type ShardedScalingResult struct {
 	FinalSpread int
 	// PerChain is each shard's final block height, in configuration order.
 	PerChain []uint64
-	// Wall is the run's wall-clock cost (the parallel-tick speedup
-	// numerator/denominator).
+	// Wall is the run's wall-clock cost.
 	Wall time.Duration
 	// Fingerprint reduces everything simulated to a comparable string:
-	// identical across serial/parallel drivers and any GOMAXPROCS.
+	// identical at any GOMAXPROCS.
 	Fingerprint string
 }
 
-// RunShardedScaling builds a laned S-shard universe with a keyed user
-// population, deploys every contract on the first shard, drives closed-loop
-// user traffic, and (with Policy on) lets the migration engine spread the
-// contracts to their callers' chains. It reports committed throughput and a
-// determinism fingerprint.
+// RunShardedScaling builds an S-shard universe with one WAN per chain and a
+// keyed user population, deploys every contract on the first shard, drives
+// closed-loop user traffic, and (with Policy on) lets the migration engine
+// spread the contracts to their callers' chains. It reports committed
+// throughput and a determinism fingerprint.
 func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) {
 	if cfg.Chains < 2 {
 		return nil, fmt.Errorf("workload: sharded scaling needs at least two chains")
@@ -148,8 +146,6 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 			db.AddBalance(a, u256.FromUint64(1<<50))
 		}
 	}
-	ucfg.ParallelTick = cfg.ParallelTick
-	ucfg.TickWorkers = cfg.TickWorkers
 	for i := range ucfg.Specs {
 		ucfg.Specs[i].Config.MaxBlockTxs = cfg.ShardCapacity
 	}
