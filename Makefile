@@ -55,12 +55,14 @@ benchgate:
 # workload signing pipeline, serial ApplyBlock (randomized differential
 # traffic and the disjoint, conflicting and Kitties breeding-DAG blocks),
 # FIFO batch selection, the fault-injected chaos cell, the state backends,
-# and the 16-chain policy-on sharded scaling cell (whose fingerprint hash
-# is also pinned to a constant): bit-identical results at every worker
-# count.
+# the 16-chain policy-on sharded scaling cell and 40 file-backed moves of a
+# 1500-slot Store (both fingerprint hashes also pinned to constants):
+# bit-identical results at every worker count. It also runs the Move2
+# stale-storage checks: an import replaces the storage a chain kept for a
+# contract that moved away, and a failed Move2 puts it back.
 detsmoke:
-	$(GO) test -run 'TestVerifyBatchMatchesSerial|TestRecoverSendersMatchesSerialAcrossGOMAXPROCS|TestCommitParallelMatchesSerial|TestHashParallelMatchesRootHashAndProofs|TestApplyBlockParallelDeterminism|TestApplyBlockParallelDifferential|TestNextBatchMatchesLegacyFIFO|TestKittiesReplayCrossGOMAXPROCSDeterminism|TestApplyBlockParallelMatchesSerial|TestChaosCellCrossGOMAXPROCS|TestBackendConformanceDifferential|TestShardedScalingCrossGOMAXPROCSDeterminism' \
-		./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ ./internal/txpool/ ./internal/workload/ ./internal/bench/
+	$(GO) test -run 'TestVerifyBatchMatchesSerial|TestRecoverSendersMatchesSerialAcrossGOMAXPROCS|TestCommitParallelMatchesSerial|TestHashParallelMatchesRootHashAndProofs|TestApplyBlockParallelDeterminism|TestApplyBlockParallelDifferential|TestNextBatchMatchesLegacyFIFO|TestKittiesReplayCrossGOMAXPROCSDeterminism|TestApplyBlockParallelMatchesSerial|TestChaosCellCrossGOMAXPROCS|TestBackendConformanceDifferential|TestShardedScalingCrossGOMAXPROCSDeterminism|TestStoreMoveDeterminism|TestStoreRoundTripDropsDeletedSlots|TestImportReplacesStaleStorage|TestImportOverStaleStorageReverts|TestMove2FinishFailureRestoresStaleStorage' \
+		./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ ./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/universe/
 
 # expsmoke is the experiment-output sanity gate: a CI-scale ablations run
 # plus a chaos run with metrics and span tracing on, captured to /tmp and

@@ -581,11 +581,11 @@ func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64) (uint
 	}
 	gas -= cost
 	snap := c.db.Snapshot()
-	acct, err := core.VerifyMove2(c.cfg.ChainID, c.db, c.headers, p)
+	v, err := core.VerifyMove2(c.cfg.ChainID, c.db, c.headers, p)
 	if err != nil {
 		return gas, err
 	}
-	core.ApplyMove2(c.db, p, acct)
+	core.ApplyMove2(c.db, p, v)
 	// moveFinish(·): the custom completion routine (Alg. 1 line 13). Its
 	// failure aborts the whole Move2.
 	_, left, err := vm.Call(tx.From, p.Contract, core.MoveFinishInput, u256.Zero(), gas)

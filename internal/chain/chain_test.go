@@ -352,6 +352,105 @@ func TestCrossChainMoveThroughBlocks(t *testing.T) {
 	}
 }
 
+// TestMove2FinishFailureRestoresStaleStorage imports a contract over the
+// storage its target chain still holds from an earlier stay, then fails
+// moveFinish: the whole Move2 rolls back, so the old storage, account
+// record and storage root come back. Both chains are Burrow-like, so the
+// import adopts the verified tree rather than rebuilding it.
+func TestMove2FinishFailureRestoresStaleStorage(t *testing.T) {
+	kp := keys.Deterministic(1)
+	cfg1, cfg2 := burrowConfig(1), burrowConfig(2)
+	src := newChain(t, cfg1, []core.ChainParams{cfg2.Params()}, kp)
+	dst := newChain(t, cfg2, []core.ChainParams{cfg1.Params()}, kp)
+
+	// Moves to chain 2 when called on chain 1; reverts every call on
+	// chain 2, moveFinish included.
+	code := asm.MustAssemble(`
+		CHAINID
+		PUSH1 2
+		EQ
+		PUSH @fail
+		JUMPI
+		PUSH1 2
+		MOVE
+		STOP
+	@fail:
+		JUMPDEST
+		PUSH1 0
+		PUSH1 0
+		REVERT
+	`)
+	contract := hashing.AddressFromBytes([]byte{0xcd})
+	slot1, slot2, slot3 := [32]byte{31: 1}, [32]byte{31: 2}, [32]byte{31: 3}
+	stale := dst.StateDB()
+	stale.CreateContract(contract, code)
+	stale.SetStorage(contract, slot1, [32]byte{31: 0x15})
+	stale.SetStorage(contract, slot2, [32]byte{31: 0x16})
+	stale.SetLocation(contract, 1)
+	stale.Commit()
+	before, _ := stale.GetAccount(contract)
+
+	src.StateDB().CreateContract(contract, code)
+	src.StateDB().SetStorage(contract, slot1, [32]byte{31: 0x21})
+	src.StateDB().SetStorage(contract, slot3, [32]byte{31: 0x23})
+	src.StateDB().Commit()
+	move1 := signedCall(t, kp, 1, 0, contract, core.MoveToInput(2), 0)
+	if err := src.SubmitTx(move1); err != nil {
+		t.Fatal(err)
+	}
+	block1, receipts := src.ApplyBlock(src.ProposeBatch(), 10, ProposerAddress(1, 0))
+	if !receipts[0].Succeeded() {
+		t.Fatalf("move1 failed: %s", receipts[0].Err)
+	}
+	payload, err := core.BuildMoveProof(src.StateDB(), contract, block1.Header.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The lagging root lands one block later, then p more confirm it.
+	for i := 0; i <= int(cfg1.ConfirmationDepth); i++ {
+		src.ApplyBlock(nil, uint64(20+i), ProposerAddress(1, 0))
+	}
+	var headers []*types.Header
+	for h := uint64(0); h <= src.Head().Height; h++ {
+		hdr, _ := src.HeaderAt(h)
+		headers = append(headers, hdr)
+	}
+	if err := dst.Headers().Update(1, headers, src.Head().Height); err != nil {
+		t.Fatal(err)
+	}
+
+	move2 := &types.Transaction{
+		ChainID:  2,
+		Kind:     types.TxMove2,
+		GasLimit: 10_000_000,
+		GasPrice: u256.FromUint64(2),
+		Move2:    payload,
+	}
+	if err := move2.Sign(kp); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.SubmitTx(move2); err != nil {
+		t.Fatal(err)
+	}
+	_, receipts = dst.ApplyBlock(dst.ProposeBatch(), 200, ProposerAddress(2, 0))
+	if receipts[0].Succeeded() || !strings.Contains(receipts[0].Err, "moveFinish") {
+		t.Fatalf("move2 must fail in moveFinish, got %+v", receipts[0])
+	}
+	after, ok := dst.StateDB().GetAccount(contract)
+	if !ok || after != before {
+		t.Fatalf("account after failed move2 %+v, want %+v", after, before)
+	}
+	if got := dst.StateDB().GetStorage(contract, slot1); got != ([32]byte{31: 0x15}) {
+		t.Fatalf("slot 1 = %x, want the stale 0x15", got)
+	}
+	if got := dst.StateDB().GetStorage(contract, slot2); got != ([32]byte{31: 0x16}) {
+		t.Fatalf("slot 2 = %x, want the stale 0x16", got)
+	}
+	if got := dst.StateDB().GetStorage(contract, slot3); got != ([32]byte{}) {
+		t.Fatalf("slot 3 = %x, want it never imported", got)
+	}
+}
+
 func TestMove2GasGrowsWithState(t *testing.T) {
 	kp := keys.Deterministic(1)
 	cfg := ethConfig(1)

@@ -45,7 +45,7 @@ func FuzzVerifyMove2AccountProof(f *testing.F) {
 		}
 		p := *payload
 		p.AccountProof = proof
-		acct, err := VerifyMove2(chainB, dst, hs, &p)
+		v, err := VerifyMove2(chainB, dst, hs, &p)
 		if err != nil {
 			return
 		}
@@ -53,8 +53,8 @@ func FuzzVerifyMove2AccountProof(f *testing.F) {
 		if string(proof) != string(original) {
 			t.Fatalf("mutated proof accepted (%d bytes)", len(proof))
 		}
-		if acct.MoveNonce != 1 || acct.Location != chainB {
-			t.Fatalf("verified account mismatch: %+v", acct)
+		if v.Account.MoveNonce != 1 || v.Account.Location != chainB {
+			t.Fatalf("verified account mismatch: %+v", v.Account)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"scmove/internal/hashing"
 	"scmove/internal/state"
 	"scmove/internal/trees"
+	"scmove/internal/trie"
 	"scmove/internal/types"
 )
 
@@ -135,42 +136,51 @@ func BuildMoveProofAt(db *state.DB, contract hashing.Address, height uint64, roo
 //  6. Replay — the proven move nonce exceeds the target's high-water mark
 //     for this contract (Fig. 2).
 //
-// On success it returns the proven account record; the caller applies it
-// with ApplyMove2.
-func VerifyMove2(local hashing.ChainID, db *state.DB, hs *HeaderStore, p *types.Move2Payload) (state.Account, error) {
+// On success it returns the proven account record and the rebuilt storage
+// tree; the caller applies them with ApplyMove2.
+func VerifyMove2(local hashing.ChainID, db *state.DB, hs *HeaderStore, p *types.Move2Payload) (Verified, error) {
 	params, err := hs.Params(p.SourceChain)
 	if err != nil {
-		return state.Account{}, err
+		return Verified{}, err
 	}
 	root, err := hs.TrustedStateRoot(p.SourceChain, p.SourceHeight)
 	if err != nil {
-		return state.Account{}, err
+		return Verified{}, err
 	}
 	entry, err := trees.VerifyProof(params.TreeKind, root, p.AccountProof)
 	if err != nil {
-		return state.Account{}, fmt.Errorf("%w: %v", ErrBadProof, err)
+		return Verified{}, fmt.Errorf("%w: %v", ErrBadProof, err)
 	}
 	if !bytes.Equal(entry.Key, p.Contract[:]) {
-		return state.Account{}, fmt.Errorf("%w: proof is for %x, not %s", ErrBadProof, entry.Key, p.Contract)
+		return Verified{}, fmt.Errorf("%w: proof is for %x, not %s", ErrBadProof, entry.Key, p.Contract)
 	}
 	acct, err := state.DecodeAccount(entry.Value)
 	if err != nil {
-		return state.Account{}, fmt.Errorf("%w: %v", ErrBadProof, err)
+		return Verified{}, fmt.Errorf("%w: %v", ErrBadProof, err)
 	}
 	if acct.Location != local {
-		return state.Account{}, fmt.Errorf("%w: Lc = %s, this chain is %s", ErrWrongTarget, acct.Location, local)
+		return Verified{}, fmt.Errorf("%w: Lc = %s, this chain is %s", ErrWrongTarget, acct.Location, local)
 	}
 	if err := checkCode(acct.CodeHash, p.Code); err != nil {
-		return state.Account{}, err
+		return Verified{}, err
 	}
-	if err := checkStorageComplete(params, acct.StorageRoot, p.Storage); err != nil {
-		return state.Account{}, err
+	storage, err := checkStorageComplete(params, acct.StorageRoot, p.Storage)
+	if err != nil {
+		return Verified{}, err
 	}
 	if seen := db.GetMoveNonce(p.Contract); acct.MoveNonce <= seen {
-		return state.Account{}, fmt.Errorf("%w: proven nonce %d, already seen %d",
+		return Verified{}, fmt.Errorf("%w: proven nonce %d, already seen %d",
 			ErrReplay, acct.MoveNonce, seen)
 	}
-	return acct, nil
+	return Verified{Account: acct, Storage: storage}, nil
+}
+
+// Verified is a Move2 payload that passed VerifyMove2: the proven account
+// record, and the storage tree rebuilt from the carried entries in the
+// source chain's tree kind, whose root is the proven storage root.
+type Verified struct {
+	Account state.Account
+	Storage trie.Tree
 }
 
 func checkCode(codeHash hashing.Hash, code []byte) error {
@@ -186,34 +196,44 @@ func checkCode(codeHash hashing.Hash, code []byte) error {
 	return nil
 }
 
-func checkStorageComplete(params ChainParams, storageRoot hashing.Hash, entries []types.StorageEntry) error {
+// checkStorageComplete rebuilds the storage tree from the carried entries
+// and returns it if its root is the proven one.
+func checkStorageComplete(params ChainParams, storageRoot hashing.Hash, entries []types.StorageEntry) (trie.Tree, error) {
 	tree, err := trees.New(params.TreeKind, 32)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, e := range entries {
 		var zero [32]byte
 		if e.Value == zero {
-			return fmt.Errorf("%w: zero-valued storage entry", ErrIncompleteSet)
+			return nil, fmt.Errorf("%w: zero-valued storage entry", ErrIncompleteSet)
 		}
 		if err := tree.Set(e.Key[:], e.Value[:]); err != nil {
-			return fmt.Errorf("%w: %v", ErrIncompleteSet, err)
+			return nil, fmt.Errorf("%w: %v", ErrIncompleteSet, err)
 		}
 	}
 	if tree.RootHash() != storageRoot {
-		return fmt.Errorf("%w: rebuilt root %s, proven %s", ErrIncompleteSet, tree.RootHash(), storageRoot)
+		return nil, fmt.Errorf("%w: rebuilt root %s, proven %s", ErrIncompleteSet, tree.RootHash(), storageRoot)
 	}
-	return nil
+	return tree, nil
 }
 
 // ApplyMove2 recreates the verified contract locally (Alg. 1 lines 11-12):
 // the account record is imported with this chain as its location, the code
-// installed, and every storage entry rewritten through the journaled state
-// so a later failure in moveFinish rolls the recreation back too.
-func ApplyMove2(db *state.DB, p *types.Move2Payload, acct state.Account) {
-	entries := make([]state.StorageEntry, len(p.Storage))
-	for i, e := range p.Storage {
-		entries[i] = state.StorageEntry{Key: e.Key, Value: e.Value}
+// installed, and the verified storage tree adopted as the contract's storage,
+// replacing any the chain still held for it. Only when the source chain's
+// tree kind differs from this chain's is the storage rebuilt, once, in this
+// chain's kind. The import is journaled, so a later failure in moveFinish
+// rolls the recreation back too.
+func ApplyMove2(db *state.DB, p *types.Move2Payload, v Verified) {
+	storage := v.Storage
+	if trees.KindOf(storage) != db.TreeKind() {
+		storage = trees.MustNew(db.TreeKind(), 32)
+		for _, e := range p.Storage {
+			if err := storage.Set(e.Key[:], e.Value[:]); err != nil {
+				panic(fmt.Sprintf("core: apply move2: %v", err))
+			}
+		}
 	}
-	db.ImportAccount(p.Contract, acct, p.Code, entries)
+	db.ImportAccount(p.Contract, v.Account, p.Code, storage)
 }

@@ -54,7 +54,7 @@ func lockContract(t *testing.T, db *state.DB, contract hashing.Address, target h
 // publish feeds hs with a header chain for the given chain id so that the
 // root of height is trusted: for lagging chains the root lands in height+1,
 // and the head is advanced p blocks past the root-bearing header.
-func publish(t *testing.T, hs *HeaderStore, params ChainParams, height uint64, root hashing.Hash) {
+func publish(t testing.TB, hs *HeaderStore, params ChainParams, height uint64, root hashing.Hash) {
 	t.Helper()
 	rootHeight := height
 	if params.LaggingStateRoot {
@@ -251,6 +251,55 @@ func TestVerifyRejectsTamperedCode(t *testing.T) {
 	publish(t, hs, paramsA(), 1, src.Root())
 	if _, err := VerifyMove2(chainB, dst, hs, payload); !errors.Is(err, ErrIncompleteCode) {
 		t.Fatalf("want ErrIncompleteCode, got %v", err)
+	}
+}
+
+// paramsC is a second IAVL chain, so a move from it to chainB keeps the
+// tree kind.
+func paramsC() ChainParams {
+	return ChainParams{ID: hashing.ChainID(3), TreeKind: trie.KindIAVL, ConfirmationDepth: 2}
+}
+
+// Between chains of one tree kind, ApplyMove2 adopts the tree VerifyMove2
+// built as the contract's live storage; across kinds it builds one tree in
+// the target's kind with the same contents.
+func TestApplyMove2AdoptsVerifiedTree(t *testing.T) {
+	mptSrc, dst := newDBs(t)
+	iavlSrc, err := state.NewDB(paramsC().ID, trie.KindIAVL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := NewHeaderStore(paramsA(), paramsB(), paramsC())
+	for i, c := range []struct {
+		src    *state.DB
+		params ChainParams
+		adopt  bool
+	}{
+		{iavlSrc, paramsC(), true},
+		{mptSrc, paramsA(), false},
+	} {
+		contract := addr(0xd0 + byte(i))
+		lockContract(t, c.src, contract, chainB)
+		payload, err := BuildMoveProof(c.src, contract, uint64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		publish(t, hs, c.params, uint64(i+1), c.src.Root())
+		v, err := VerifyMove2(chainB, dst, hs, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ApplyMove2(dst, payload, v)
+		live, ok := dst.StorageTreeAt(contract)
+		if !ok {
+			t.Fatalf("%s source: no live storage tree", c.params.TreeKind)
+		}
+		if adopted := live == v.Storage; adopted != c.adopt {
+			t.Fatalf("%s source: adopted verified tree = %v, want %v", c.params.TreeKind, adopted, c.adopt)
+		}
+		if got := dst.StorageEntries(contract); len(got) != len(payload.Storage) {
+			t.Fatalf("%s source: %d live entries, payload carries %d", c.params.TreeKind, len(got), len(payload.Storage))
+		}
 	}
 }
 

@@ -85,9 +85,11 @@ func (t *Tree) Set(key, value []byte) error {
 	if len(value) == 0 {
 		panic("iavl: empty value; use Delete to remove keys")
 	}
-	k := make([]byte, len(key))
+	// One backing slice holds both copies; the key's capacity is capped so
+	// nothing appended to it can reach the value.
+	buf := make([]byte, len(key)+len(value))
+	k, v := buf[:len(key):len(key)], buf[len(key):]
 	copy(k, key)
-	v := make([]byte, len(value))
 	copy(v, value)
 	var added bool
 	t.root, added = insert(t.root, k, v)

@@ -86,3 +86,32 @@ func TestHashCacheMatchesRecomputation(t *testing.T) {
 		}
 	}
 }
+
+// TestSetOneAllocPerCopy pins the write path's allocation profile: the key
+// and value copies share one backing slice, so overwriting a key allocates
+// once, and the key's capacity stops at its length so the value behind it
+// cannot be reached by an append.
+func TestSetOneAllocPerCopy(t *testing.T) {
+	tr := New(4)
+	key := []byte{1, 2, 3, 4}
+	if err := tr.Set(key, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := tr.Set(key, []byte{7, 7}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Set overwrite allocates %.1f objects/op, want 1", allocs)
+	}
+	tr.Iterate(func(k, v []byte) bool {
+		if cap(k) != len(k) {
+			t.Fatalf("key capacity %d, length %d", cap(k), len(k))
+		}
+		if !bytes.Equal(v, []byte{7, 7}) {
+			t.Fatalf("value %x", v)
+		}
+		return true
+	})
+}

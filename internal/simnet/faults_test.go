@@ -113,6 +113,30 @@ func TestNetworkObserveMirrorsCounters(t *testing.T) {
 	}
 }
 
+// Counting WAN events must not allocate: a send-and-deliver costs the same
+// allocations with counters on as with them off.
+func TestNetworkCountersAllocationFree(t *testing.T) {
+	allocs := func(observe bool) float64 {
+		sched := simclock.New()
+		net := New(sched, Config{})
+		for _, id := range []NodeID{1, 2} {
+			if err := net.Register(id, Region(id), func(NodeID, any) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if observe {
+			net.Observe(metrics.NewCounters())
+		}
+		return testing.AllocsPerRun(200, func() {
+			net.Send(1, 2, nil)
+			sched.Run()
+		})
+	}
+	if off, on := allocs(false), allocs(true); on != off {
+		t.Fatalf("send-and-deliver allocates %.1f objects with counters on, %.1f off", on, off)
+	}
+}
+
 func TestLinkDeliversAfterBaseDelay(t *testing.T) {
 	sched := simclock.New()
 	link := NewLink(sched, 40*time.Millisecond, LinkFaults{}, 0)

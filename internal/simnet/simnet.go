@@ -177,10 +177,13 @@ func (n *Network) SetGaugeLabel(label string) {
 	n.gPeak = label + ".inflight.peak"
 }
 
-func (n *Network) count(event string, field *uint64) {
+// count bumps a fault field and, when observed, the counter of the same
+// name. Callers pass the full counter name as a constant: building it per
+// message would allocate on every delivery.
+func (n *Network) count(name string, field *uint64) {
 	*field++
 	if n.counters != nil {
-		n.counters.Inc("wan." + event)
+		n.counters.Inc(name)
 	}
 }
 
@@ -214,11 +217,11 @@ func (n *Network) Send(from, to NodeID, payload any) {
 	src, okFrom := n.nodes[from]
 	dst, okTo := n.nodes[to]
 	if !okFrom || !okTo {
-		n.count("dropped", &n.dropped)
+		n.count("wan.dropped", &n.dropped)
 		return
 	}
 	if n.down[from] || n.cut[linkKey(from, to)] {
-		n.count("dropped", &n.dropped)
+		n.count("wan.dropped", &n.dropped)
 		return
 	}
 	faults := n.cfg.faults()
@@ -226,13 +229,13 @@ func (n *Network) Send(from, to NodeID, payload any) {
 		faults = override
 	}
 	if faults.DropRate > 0 && n.rng.Float64() < faults.DropRate {
-		n.count("dropped", &n.dropped)
+		n.count("wan.dropped", &n.dropped)
 		return
 	}
 	copies := 1
 	if faults.DupRate > 0 && n.rng.Float64() < faults.DupRate {
 		copies = 2
-		n.count("duplicated", &n.duplicated)
+		n.count("wan.duplicated", &n.duplicated)
 	}
 	base := Latency(src.region, dst.region)
 	for i := 0; i < copies; i++ {
@@ -245,7 +248,7 @@ func (n *Network) Send(from, to NodeID, payload any) {
 				trng := rand.New(rand.NewSource(n.cfg.Seed ^ int64(n.corrupted)*0x6A09E667F3BCC909 ^ 0x2545F4914F6CDD1D))
 				if tampered, ok := n.cfg.Tamper(trng, payload); ok {
 					msg = tampered
-					n.count("corrupted", &n.corrupted)
+					n.count("wan.corrupted", &n.corrupted)
 					if n.counters != nil {
 						n.counters.Inc("byzantine.corrupted")
 					}
@@ -265,7 +268,7 @@ func (n *Network) Send(from, to NodeID, payload any) {
 			if max > 0 {
 				delay += time.Duration(n.rng.Int63n(int64(max) + 1))
 			}
-			n.count("reordered", &n.reordered)
+			n.count("wan.reordered", &n.reordered)
 		}
 		if n.reg.Enabled() {
 			n.reg.AddGauge(n.gInflight, 1)
@@ -279,10 +282,10 @@ func (n *Network) Send(from, to NodeID, payload any) {
 			// that happen while the message is in flight take effect.
 			info, ok := n.nodes[to]
 			if !ok || n.down[to] {
-				n.count("dropped", &n.dropped)
+				n.count("wan.dropped", &n.dropped)
 				return
 			}
-			n.count("delivered", &n.delivered)
+			n.count("wan.delivered", &n.delivered)
 			info.handler(from, msg)
 		})
 	}

@@ -133,7 +133,7 @@ func genConformanceScript(seed int64, blocks, opsPerBlock int) confScript {
 				{Key: slots[rng.Intn(len(slots))], Value: word(byte(rng.Intn(4) + 1))},
 				{Key: slots[rng.Intn(len(slots))], Value: word(byte(rng.Intn(4) + 1))},
 			}
-			return func(db *DB) { db.ImportAccount(addr, acct, code, entries) }
+			return func(db *DB) { db.ImportAccount(addr, acct, code, storageTreeOf(db, entries...)) }
 		default: // snapshot, nested ops, revert — exercises journal + flat write-through
 			if depth > 1 {
 				key := slots[rng.Intn(len(slots))]

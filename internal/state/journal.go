@@ -6,6 +6,7 @@ import (
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/state/backend"
+	"scmove/internal/trie"
 )
 
 // journal records inverse operations so transaction execution can roll back
@@ -17,10 +18,11 @@ type journal struct {
 type journalKind uint8
 
 const (
-	jAccount journalKind = iota + 1 // restore a full account record
-	jStorage                        // restore one storage slot
-	jCode                           // forget a code blob added to the store
-	jLog                            // drop the most recent log
+	jAccount     journalKind = iota + 1 // restore a full account record
+	jStorage                            // restore one storage slot
+	jCode                               // forget a code blob added to the store
+	jLog                                // drop the most recent log
+	jStorageTree                        // put back a storage tree swapped out whole
 )
 
 type journalEntry struct {
@@ -32,6 +34,7 @@ type journalEntry struct {
 	prevValue   evm.Word // jStorage
 	prevExisted bool     // jStorage
 	codeHash    hashing.Hash
+	prevTree    trie.Tree // jStorageTree
 }
 
 func (j *journal) append(e journalEntry) { j.entries = append(j.entries, e) }
@@ -67,6 +70,13 @@ func (j *journal) revert(db *DB, id int) {
 			// value through so a revert cannot leave a stale hit behind.
 			if db.flat != nil {
 				db.flat.UpdateSlot(backend.SlotKey{Addr: e.addr, Key: e.key}, e.prevValue, e.prevExisted)
+			}
+		case jStorageTree:
+			// Older jStorage entries of the swap re-fill the flat cache
+			// with the restored tree's slots; every other line is stale.
+			db.storage[e.addr] = e.prevTree
+			if db.flat != nil {
+				db.flat.WipeStorage(e.addr)
 			}
 		case jCode:
 			delete(db.codes, e.codeHash)

@@ -889,10 +889,18 @@ type StorageEntry struct {
 	Value evm.Word
 }
 
-// ImportAccount installs a full account record (Move2 recreation). The
-// caller has verified proofs; this writes through the normal journaled path
-// so a failing transaction rolls everything back.
-func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, entries []StorageEntry) {
+// ImportAccount installs a full account record (Move2 recreation) and adopts
+// storage, a tree of this chain's kind whose root the caller has verified,
+// as the account's live storage. The tree replaces whatever storage the
+// chain still holds for addr (a contract that moved away leaves its old
+// slots behind), so slots deleted elsewhere do not come back. The swap is
+// journaled, so a failing transaction rolls the import back, and every slot
+// it changes gets its committed pre-image, so the backend's commit batch and
+// reverse diffs stay exact. The DB owns storage afterwards.
+func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, storage trie.Tree) {
+	if k := trees.KindOf(storage); k != db.kind {
+		panic(fmt.Sprintf("state: import %s: %s storage tree into a %s chain", addr, k, db.kind))
+	}
 	working := db.mutable(addr)
 	working.Nonce = acct.Nonce
 	working.Balance = acct.Balance
@@ -909,8 +917,20 @@ func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, ent
 		}
 		working.CodeHash = h
 	}
-	for _, e := range entries {
-		db.SetStorage(addr, e.Key, e.Value)
+	db.journalStorageWipe(addr)
+	db.journal.append(journalEntry{kind: jStorageTree, addr: addr, prevTree: db.storage[addr]})
+	// The wipe recorded every live slot, so an imported key it missed was
+	// absent from the committed state too, unless written earlier this block.
+	storage.Iterate(func(k, _ []byte) bool {
+		sk := backend.SlotKey{Addr: addr, Key: backend.Word(k)}
+		if _, seen := db.slotDelta[sk]; !seen {
+			db.slotDelta[sk] = prevSlot{}
+		}
+		return true
+	})
+	db.storage[addr] = storage
+	if db.flat != nil {
+		db.flat.WipeStorage(addr)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
+	"scmove/internal/state/backend"
+	"scmove/internal/trees"
 	"scmove/internal/trie"
 	"scmove/internal/u256"
 )
@@ -30,6 +32,18 @@ func word(b byte) evm.Word {
 	var w evm.Word
 	w[31] = b
 	return w
+}
+
+// storageTreeOf builds a storage tree of db's kind holding entries, as a
+// verified Move2 hands it to ImportAccount.
+func storageTreeOf(db *DB, entries ...StorageEntry) trie.Tree {
+	t := trees.MustNew(db.TreeKind(), 32)
+	for _, e := range entries {
+		if err := t.Set(e.Key[:], e.Value[:]); err != nil {
+			panic(err)
+		}
+	}
+	return t
 }
 
 func TestAccountRoundTrip(t *testing.T) {
@@ -231,7 +245,7 @@ func TestImportAccount(t *testing.T) {
 	entries := []StorageEntry{{Key: word(1), Value: word(7)}, {Key: word(2), Value: word(8)}}
 	db.ImportAccount(a, Account{
 		Nonce: 2, Balance: u256.FromUint64(99), MoveNonce: 4,
-	}, code, entries)
+	}, code, storageTreeOf(db, entries...))
 
 	acct, ok := db.GetAccount(a)
 	if !ok {
@@ -255,13 +269,128 @@ func TestImportAccountRevertable(t *testing.T) {
 	db := newTestDB(t)
 	a := addr(3)
 	snap := db.Snapshot()
-	db.ImportAccount(a, Account{Nonce: 1}, []byte("c"), []StorageEntry{{Key: word(1), Value: word(1)}})
+	db.ImportAccount(a, Account{Nonce: 1}, []byte("c"), storageTreeOf(db, StorageEntry{Key: word(1), Value: word(1)}))
 	db.RevertToSnapshot(snap)
 	if db.Exists(a) {
 		t.Fatal("import must roll back")
 	}
 	if db.GetStorage(a, word(1)) != (evm.Word{}) {
 		t.Fatal("imported storage must roll back")
+	}
+}
+
+// moveAwayWithStorage gives addr two committed slots, {1: 0x15, 2: 0x16},
+// then locks it to another chain, the state a source chain keeps after a
+// contract leaves. It returns the committed root and the account's
+// storage root.
+func moveAwayWithStorage(t *testing.T, db *DB, a hashing.Address) (root, storageRoot hashing.Hash) {
+	t.Helper()
+	db.CreateContract(a, []byte("code"))
+	db.SetStorage(a, word(1), word(0x15))
+	db.SetStorage(a, word(2), word(0x16))
+	db.SetLocation(a, hashing.ChainID(2))
+	db.SetMoveNonce(a, 1)
+	root = db.Commit()
+	acct, _ := db.GetAccount(a)
+	return root, acct.StorageRoot
+}
+
+// An import replaces the storage a chain kept for a contract that moved
+// away; it does not merge into it. A held slots {1, 2}, the contract
+// deleted slot 2 elsewhere, and the import carries only {1}: afterwards
+// slot 2 is gone from the live state, the committed backend and a reopened
+// store, and the storage root is the proven one. The pre-import root still
+// reads the old storage through the reverse diffs.
+func TestImportReplacesStaleStorage(t *testing.T) {
+	for _, kind := range []trie.Kind{trie.KindMPT, trie.KindIAVL} {
+		for _, c := range []struct {
+			name string
+			opts Options
+		}{
+			{"memory", Options{}},
+			{"file", Options{Backend: backend.KindFile, Dir: t.TempDir()}},
+		} {
+			t.Run(kind.String()+"/"+c.name, func(t *testing.T) {
+				db, err := NewDBWith(localChain, kind, c.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				a := addr(6)
+				oldRoot, _ := moveAwayWithStorage(t, db, a)
+				proven := storageTreeOf(db, StorageEntry{Key: word(1), Value: word(0x15)})
+				provenRoot := proven.RootHash()
+				db.ImportAccount(a, Account{MoveNonce: 2}, []byte("code"), proven)
+				root := db.Commit()
+
+				if got := db.GetStorage(a, word(2)); got != (evm.Word{}) {
+					t.Fatalf("stale slot 2 reads %x after import", got)
+				}
+				if got := db.GetStorage(a, word(1)); got != word(0x15) {
+					t.Fatalf("slot 1 reads %x", got)
+				}
+				acct, _ := db.GetAccount(a)
+				if acct.StorageRoot != provenRoot {
+					t.Fatalf("storage root %s, proven %s", acct.StorageRoot, provenRoot)
+				}
+				if _, ok := db.Backend().Slot(backend.SlotKey{Addr: a, Key: word(2)}); ok {
+					t.Fatal("backend still holds stale slot 2")
+				}
+				if got, err := db.StorageEntriesAt(a, oldRoot); err != nil || len(got) != 2 {
+					t.Fatalf("entries at the pre-import root = %v, %v; want both old slots", got, err)
+				}
+				if got, err := db.StorageEntriesAt(a, root); err != nil || len(got) != 1 {
+					t.Fatalf("entries at the import root = %v, %v; want slot 1 only", got, err)
+				}
+				if c.opts.Backend != backend.KindFile {
+					return
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				db, err = OpenDB(localChain, kind, c.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if db.Root() != root {
+					t.Fatalf("reopened root %s, committed %s", db.Root(), root)
+				}
+				if got := db.StorageEntries(a); len(got) != 1 || got[0].Key != word(1) {
+					t.Fatalf("reopened storage = %v, want slot 1 only", got)
+				}
+			})
+		}
+	}
+}
+
+// Reverting an import over stale storage puts the old tree back, with its
+// slots readable through a warm flat cache and its root committed again.
+func TestImportOverStaleStorageReverts(t *testing.T) {
+	db := newTestDB(t)
+	a := addr(7)
+	oldRoot, oldStorageRoot := moveAwayWithStorage(t, db, a)
+	snap := db.Snapshot()
+	db.ImportAccount(a, Account{MoveNonce: 2}, []byte("code"),
+		storageTreeOf(db, StorageEntry{Key: word(1), Value: word(0x21)}, StorageEntry{Key: word(3), Value: word(0x23)}))
+	// Warm the flat cache with the imported values, then write through the
+	// adopted tree as moveFinish would.
+	if db.GetStorage(a, word(3)) != word(0x23) || db.GetStorage(a, word(2)) != (evm.Word{}) {
+		t.Fatal("import not visible")
+	}
+	db.SetStorage(a, word(4), word(0x24))
+	db.RevertToSnapshot(snap)
+
+	for k, want := range map[byte]evm.Word{1: word(0x15), 2: word(0x16), 3: {}, 4: {}} {
+		if got := db.GetStorage(a, word(k)); got != want {
+			t.Fatalf("slot %d = %x after revert, want %x", k, got, want)
+		}
+	}
+	acct, _ := db.GetAccount(a)
+	if acct.StorageRoot != oldStorageRoot || acct.Location != hashing.ChainID(2) {
+		t.Fatalf("reverted account %+v, want storage root %s at chain 2", acct, oldStorageRoot)
+	}
+	if root := db.Commit(); root != oldRoot {
+		t.Fatalf("root after reverted import %s, want %s", root, oldRoot)
 	}
 }
 

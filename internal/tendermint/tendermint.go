@@ -354,6 +354,12 @@ func (v *Validator) startHeight(h uint64) {
 	if v.crashed {
 		return
 	}
+	if h != v.height {
+		// onProposal and onVote drop every message not for the current
+		// height before consulting either map, so older entries are dead.
+		clear(v.votes)
+		clear(v.firstSeen)
+	}
 	v.height = h
 	v.round = 0
 	v.startRound()

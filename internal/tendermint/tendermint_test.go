@@ -240,3 +240,31 @@ func TestDeterministicRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestConsensusMapsBounded runs 200 heights with a proposal- and
+// vote-equivocating validator and checks that every validator's vote and
+// first-seen maps hold only the current height's entries, O(n · rounds),
+// instead of growing with the chain, while evidence is still recorded.
+func TestConsensusMapsBounded(t *testing.T) {
+	const n = 4
+	sched, cluster, _ := newCluster(t, n)
+	cluster.SetByzantine(1, ByzantineBehavior{EquivocateProposals: true, EquivocateVotes: true})
+	cluster.Start()
+	for cluster.CommittedHeight() < 200 {
+		sched.RunUntil(sched.Now() + time.Minute)
+	}
+	if len(cluster.Evidence()) == 0 {
+		t.Fatal("no equivocation evidence recorded")
+	}
+	for _, v := range cluster.validators {
+		rounds := v.round + 1
+		// Per round: one proposal plus a prevote and a precommit per
+		// sender; at most one vote set per sender's hash and kind.
+		if got, max := len(v.firstSeen), rounds*(2*n+1); got > max {
+			t.Errorf("validator %d at height %d: %d first-seen entries, want <= %d", v.index, v.height, got, max)
+		}
+		if got, max := len(v.votes), rounds*2*n; got > max {
+			t.Errorf("validator %d at height %d: %d vote sets, want <= %d", v.index, v.height, got, max)
+		}
+	}
+}

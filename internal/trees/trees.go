@@ -34,6 +34,18 @@ func MustNew(kind trie.Kind, keyLen int) trie.Tree {
 	return t
 }
 
+// KindOf reports the kind of a tree built by New (0 for any other tree).
+func KindOf(t trie.Tree) trie.Kind {
+	switch t.(type) {
+	case *mpt.Tree:
+		return trie.KindMPT
+	case *iavl.Tree:
+		return trie.KindIAVL
+	default:
+		return 0
+	}
+}
+
 // VerifyProof verifies an encoded membership proof produced by a tree of the
 // given kind against root, returning the proven entry.
 func VerifyProof(kind trie.Kind, root hashing.Hash, proof []byte) (trie.ProvenEntry, error) {
