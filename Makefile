@@ -10,8 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails on any file gofmt would change.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt: unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 
 race:
 	$(GO) test -race ./...

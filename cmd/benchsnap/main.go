@@ -341,7 +341,7 @@ func runSenderCacheHit(iters int) (Result, error) {
 		GasLimit: 21_000,
 		GasPrice: u256.FromUint64(2),
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		return Result{}, err
 	}
 	enc := tx.Encode()

@@ -359,7 +359,7 @@ func replayAndCompare(cfg universe.Config, loads []*userLoad, want map[hashing.C
 	for _, load := range loads {
 		c := u.Chain(load.chainID)
 		for _, tx := range load.txs {
-			if err := c.SubmitTx(tx); err != nil {
+			if _, err := c.SubmitTx(tx); err != nil {
 				return fmt.Errorf("replay submit: %w", err)
 			}
 		}

@@ -99,7 +99,7 @@ func BuildApplyBlockTxs(cfg ApplyBlockConfig) ([]*types.Transaction, error) {
 			Data:     data[:],
 		}
 		nonces[s]++
-		if err := tx.Sign(kps[s]); err != nil {
+		if _, err := tx.Sign(kps[s]); err != nil {
 			return nil, err
 		}
 		dec, err := types.DecodeTransaction(tx.Encode())
@@ -214,7 +214,7 @@ func buildKittiesDAGTxs() ([]*types.Transaction, error) {
 			GasPrice: u256.FromUint64(2),
 			Data:     data,
 		}
-		if err := tx.Sign(keys.Deterministic(sender)); err != nil {
+		if _, err := tx.Sign(keys.Deterministic(sender)); err != nil {
 			return nil, err
 		}
 		return types.DecodeTransaction(tx.Encode())

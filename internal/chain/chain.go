@@ -133,7 +133,7 @@ func New(cfg Config, headers *core.HeaderStore, genesis func(db *state.DB)) (*Ch
 		ChainID:   cfg.ChainID,
 		Height:    0,
 		StateRoot: root,
-		TxRoot:    types.TxRoot(nil),
+		TxRoot:    types.TxRootOf(nil),
 		GasLimit:  cfg.BlockGasLimit,
 	}
 	if cfg.LaggingStateRoot {
@@ -310,11 +310,12 @@ func (c *Chain) observePoolDepth() {
 	c.reg.MaxGauge(c.gPeak, depth)
 }
 
-// SubmitTx admits a transaction to the pending pool.
-func (c *Chain) SubmitTx(tx *types.Transaction) error {
-	err := c.pool.Add(tx)
+// SubmitTx admits a transaction to the pending pool and returns its id
+// (see txpool.Pool.Add).
+func (c *Chain) SubmitTx(tx *types.Transaction) (hashing.Hash, error) {
+	id, err := c.pool.Add(tx)
 	c.observePoolDepth()
-	return err
+	return id, err
 }
 
 // SubmitTxs admits a batch of transactions, recovering all senders on the
@@ -363,11 +364,12 @@ func (c *Chain) ProposeBatch() []*types.Transaction {
 
 // ApplyBlock executes txs as the next block at simulated unix time now,
 // proposed by the given address, and commits it. Transactions execute one
-// at a time in block order; the only parallel work is sender recovery
-// before the loop and commit hashing inside state.DB.Commit, both of which
-// produce results independent of GOMAXPROCS. The write lock is held
-// from execution through commit and index updates; listeners and waiters
-// fire after it is released, so they can freely call back into the chain.
+// at a time in block order; the only parallel work is id hashing and
+// sender recovery before the loop and commit hashing inside
+// state.DB.Commit, both of which produce results independent of
+// GOMAXPROCS. The write lock is held from execution through commit and
+// index updates; listeners and waiters fire after it is released, so they
+// can freely call back into the chain.
 func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashing.Address) (*types.Block, []*types.Receipt) {
 	c.mu.Lock()
 	height := c.head().Height + 1
@@ -379,17 +381,18 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 		GasLimit:  c.cfg.BlockGasLimit,
 		BlockHash: c.blockHashFn(),
 	}
-	// Pre-recover every sender on the crypto worker pool before the serial
-	// execution loop. Recovery is pure per transaction and results land in
-	// input order, so execution below observes exactly what it would have
-	// computed inline — this only moves the ECDSA work off the critical
-	// path (and, for consensus-decoded copies, usually finds it already in
-	// the sender cache). Failures are re-surfaced by applyTx's own Sender
-	// call, which by then is a memoized lookup.
-	types.RecoverSenders(txs)
+	// Compute every id and recover every sender on the crypto worker pool
+	// before the serial execution loop. Both are pure per transaction and
+	// results land in input order, so execution below observes exactly what
+	// it would have computed inline — this only moves the hashing and ECDSA
+	// work off the critical path (and, for consensus-decoded copies, usually
+	// finds the sender already in the cache). The ids then serve the
+	// receipts, the header's tx root and pool eviction, so no transaction is
+	// hashed twice in a block.
+	ids, senders, errs := types.RecoverSenders(txs)
 	receipts := make([]*types.Receipt, 0, len(txs))
-	for _, tx := range txs {
-		receipts = append(receipts, c.applyTx(tx, blockCtx))
+	for i, tx := range txs {
+		receipts = append(receipts, c.applyTx(tx, ids[i], senders[i], errs[i], blockCtx))
 	}
 	var gasUsed uint64
 	for _, rec := range receipts {
@@ -407,7 +410,7 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 		Height:     height,
 		ParentHash: c.head().Hash(),
 		StateRoot:  headerRoot,
-		TxRoot:     types.TxRoot(txs),
+		TxRoot:     types.TxRootOf(ids),
 		Time:       now,
 		Proposer:   proposer,
 		GasUsed:    gasUsed,
@@ -418,8 +421,8 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 	// Evict included transactions from the pool only now: proposals select
 	// without consuming, so a failed consensus round cannot lose traffic.
 	// Empty blocks have nothing to evict.
-	for _, tx := range txs {
-		c.pool.Remove(tx.ID())
+	for _, id := range ids {
+		c.pool.Remove(id)
 	}
 	for _, rec := range receipts {
 		c.receipts[rec.TxID] = rec
@@ -497,17 +500,15 @@ func (c *Chain) blockHashFn() func(uint64) hashing.Hash {
 
 // applyTx executes one transaction against the chain's state, charging
 // fees and producing a receipt. Failed transactions still pay for the gas
-// they consumed.
-func (c *Chain) applyTx(tx *types.Transaction, blockCtx evm.BlockContext) *types.Receipt {
-	rec := &types.Receipt{TxID: tx.ID(), Status: types.ReceiptFailed}
+// they consumed. id, sender and senderErr are tx's entry in
+// types.RecoverSenders.
+func (c *Chain) applyTx(tx *types.Transaction, id hashing.Hash, sender hashing.Address, senderErr error,
+	blockCtx evm.BlockContext) *types.Receipt {
+	rec := &types.Receipt{TxID: id, Status: types.ReceiptFailed}
 	// Authenticate before touching state: executing on a trusted tx.From
-	// would let a forged From spend any account's balance. Sender memoizes
-	// through the process-wide cache, so for the overwhelmingly common case
-	// (admitted via the pool, or pre-recovered by ApplyBlock) this is a
-	// lookup, not an ECDSA verification.
-	sender, err := tx.Sender()
-	if err != nil {
-		rec.Err = err.Error()
+	// would let a forged From spend any account's balance.
+	if senderErr != nil {
+		rec.Err = senderErr.Error()
 		return rec
 	}
 	sched := &c.cfg.Schedule

@@ -67,7 +67,7 @@ func signedCall(t *testing.T, kp *keys.KeyPair, chainID hashing.ChainID, nonce u
 		GasPrice: u256.FromUint64(2),
 		Data:     data,
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
 	return tx
@@ -80,7 +80,7 @@ func TestTransferTxMovesValueAndFees(t *testing.T) {
 	proposer := ProposerAddress(1, 0)
 
 	tx := signedCall(t, kp, 1, 0, to, nil, 500)
-	if err := c.SubmitTx(tx); err != nil {
+	if _, err := c.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	block, receipts := c.ApplyBlock(c.ProposeBatch(), 100, proposer)
@@ -124,7 +124,7 @@ func TestFailedTxChargesGas(t *testing.T) {
 	c.StateDB().Commit()
 
 	tx := signedCall(t, kp, 1, 0, reverting, nil, 0)
-	if err := c.SubmitTx(tx); err != nil {
+	if _, err := c.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	_, receipts := c.ApplyBlock(c.ProposeBatch(), 100, ProposerAddress(1, 0))
@@ -155,10 +155,10 @@ func TestCreateTxDeploys(t *testing.T) {
 		GasPrice: u256.FromUint64(2),
 		Data:     code,
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SubmitTx(tx); err != nil {
+	if _, err := c.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	_, receipts := c.ApplyBlock(c.ProposeBatch(), 100, ProposerAddress(1, 0))
@@ -175,7 +175,9 @@ func TestBadNonceFailsWithoutFee(t *testing.T) {
 	kp := keys.Deterministic(1)
 	c := newChain(t, ethConfig(1), nil, kp)
 	tx := signedCall(t, kp, 1, 7, hashing.AddressFromBytes([]byte{1}), nil, 0)
-	rec := c.applyTx(tx, evm.BlockContext{ChainID: 1, GasLimit: 30_000_000})
+	id := tx.ID()
+	sender, err := tx.SenderOf(id)
+	rec := c.applyTx(tx, id, sender, err, evm.BlockContext{ChainID: 1, GasLimit: 30_000_000})
 	if rec.Succeeded() || rec.GasUsed != 0 {
 		t.Fatalf("receipt %+v", rec)
 	}
@@ -196,7 +198,7 @@ func TestHeaderRootRule(t *testing.T) {
 	// Lagging: header h carries the root after h-1.
 	bur := newChain(t, burrowConfig(2), nil, kp)
 	tx := signedCall(t, kp, 2, 0, hashing.AddressFromBytes([]byte{3}), nil, 5)
-	if err := bur.SubmitTx(tx); err != nil {
+	if _, err := bur.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	bb1, _ := bur.ApplyBlock(bur.ProposeBatch(), 10, ProposerAddress(2, 0))
@@ -225,7 +227,7 @@ func TestNotifyTx(t *testing.T) {
 			t.Errorf("rec %+v height %d", rec, b.Header.Height)
 		}
 	})
-	if err := c.SubmitTx(tx); err != nil {
+	if _, err := c.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	c.ApplyBlock(c.ProposeBatch(), 10, ProposerAddress(1, 0))
@@ -272,7 +274,7 @@ func TestCrossChainMoveThroughBlocks(t *testing.T) {
 
 	// Move1: call the contract; its code executes MOVE(2).
 	move1 := signedCall(t, kp, 1, 0, contract, core.MoveToInput(2), 0)
-	if err := src.SubmitTx(move1); err != nil {
+	if _, err := src.SubmitTx(move1); err != nil {
 		t.Fatal(err)
 	}
 	block1, receipts := src.ApplyBlock(src.ProposeBatch(), 10, ProposerAddress(1, 0))
@@ -311,10 +313,10 @@ func TestCrossChainMoveThroughBlocks(t *testing.T) {
 		GasPrice: u256.FromUint64(2),
 		Move2:    payload,
 	}
-	if err := move2.Sign(kp); err != nil {
+	if _, err := move2.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.SubmitTx(move2); err != nil {
+	if _, err := dst.SubmitTx(move2); err != nil {
 		t.Fatal(err)
 	}
 	_, receipts = dst.ApplyBlock(dst.ProposeBatch(), 200, ProposerAddress(2, 0))
@@ -337,10 +339,10 @@ func TestCrossChainMoveThroughBlocks(t *testing.T) {
 		GasPrice: u256.FromUint64(2),
 		Move2:    payload,
 	}
-	if err := replay.Sign(kp); err != nil {
+	if _, err := replay.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.SubmitTx(replay); err != nil {
+	if _, err := dst.SubmitTx(replay); err != nil {
 		t.Fatal(err)
 	}
 	_, receipts = dst.ApplyBlock(dst.ProposeBatch(), 210, ProposerAddress(2, 0))
@@ -395,7 +397,7 @@ func TestMove2FinishFailureRestoresStaleStorage(t *testing.T) {
 	src.StateDB().SetStorage(contract, slot3, [32]byte{31: 0x23})
 	src.StateDB().Commit()
 	move1 := signedCall(t, kp, 1, 0, contract, core.MoveToInput(2), 0)
-	if err := src.SubmitTx(move1); err != nil {
+	if _, err := src.SubmitTx(move1); err != nil {
 		t.Fatal(err)
 	}
 	block1, receipts := src.ApplyBlock(src.ProposeBatch(), 10, ProposerAddress(1, 0))
@@ -426,10 +428,10 @@ func TestMove2FinishFailureRestoresStaleStorage(t *testing.T) {
 		GasPrice: u256.FromUint64(2),
 		Move2:    payload,
 	}
-	if err := move2.Sign(kp); err != nil {
+	if _, err := move2.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.SubmitTx(move2); err != nil {
+	if _, err := dst.SubmitTx(move2); err != nil {
 		t.Fatal(err)
 	}
 	_, receipts = dst.ApplyBlock(dst.ProposeBatch(), 200, ProposerAddress(2, 0))

@@ -43,7 +43,7 @@ func testMove2ProofAt(t *testing.T, srcState state.Options) {
 	src.StateDB().Commit()
 
 	move1 := signedCall(t, kp, 1, 0, contract, core.MoveToInput(2), 0)
-	if err := src.SubmitTx(move1); err != nil {
+	if _, err := src.SubmitTx(move1); err != nil {
 		t.Fatal(err)
 	}
 	block1, receipts := src.ApplyBlock(src.ProposeBatch(), 10, ProposerAddress(1, 0))
@@ -62,7 +62,7 @@ func testMove2ProofAt(t *testing.T, srcState state.Options) {
 	// root diverges from block1's — the historical path has real work to do.
 	for i := 0; i < int(cfg1.ConfirmationDepth); i++ {
 		pay := signedCall(t, kp, 1, uint64(1+i), hashing.AddressFromBytes([]byte{0xee}), nil, 1000)
-		if err := src.SubmitTx(pay); err != nil {
+		if _, err := src.SubmitTx(pay); err != nil {
 			t.Fatal(err)
 		}
 		src.ApplyBlock(src.ProposeBatch(), uint64(20+i), ProposerAddress(1, 0))
@@ -104,10 +104,10 @@ func testMove2ProofAt(t *testing.T, srcState state.Options) {
 		GasPrice: u256.FromUint64(2),
 		Move2:    hist,
 	}
-	if err := move2.Sign(kp); err != nil {
+	if _, err := move2.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.SubmitTx(move2); err != nil {
+	if _, err := dst.SubmitTx(move2); err != nil {
 		t.Fatal(err)
 	}
 	_, receipts = dst.ApplyBlock(dst.ProposeBatch(), 200, ProposerAddress(2, 0))

@@ -91,7 +91,7 @@ func buildFuzzTraffic(t *testing.T, seed int64, chainID hashing.ChainID) [][]*ty
 				GasPrice: u256.FromUint64(2),
 				Data:     asm.MustAssemble("PUSH1 7 PUSH1 3 SSTORE STOP"),
 			}
-			if err := tx.Sign(kp); err != nil {
+			if _, err := tx.Sign(kp); err != nil {
 				t.Fatal(err)
 			}
 			push(tx)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"scmove/internal/hashing"
@@ -36,7 +37,7 @@ func TestForgedFromRejectedAtAdmissionAndApply(t *testing.T) {
 	forged := forgedFromTx(t, kp, 1)
 
 	// Layer 1: the pool must refuse it.
-	if err := c.SubmitTx(forged); !errors.Is(err, types.ErrBadTxSignature) {
+	if _, err := c.SubmitTx(forged); !errors.Is(err, types.ErrBadTxSignature) {
 		t.Fatalf("admission error = %v, want ErrBadTxSignature", err)
 	}
 	if c.PendingTxs() != 0 {
@@ -77,7 +78,8 @@ func TestAddBatchMatchesSequentialAdd(t *testing.T) {
 	serial.StateDB().Commit()
 	var serialErrs []bool
 	for _, tx := range mk(serial) {
-		serialErrs = append(serialErrs, serial.SubmitTx(tx) != nil)
+		_, err := serial.SubmitTx(tx)
+		serialErrs = append(serialErrs, err != nil)
 	}
 
 	batch := newChain(t, ethConfig(1), nil, kpA)
@@ -142,5 +144,33 @@ func TestApplyBlockParallelDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(recs, wantRecs) {
 			t.Fatalf("GOMAXPROCS=%d: receipts diverge", procs)
 		}
+	}
+}
+
+// TestApplyBlockRejectsTxEditedAfterSigning admits a signed transaction,
+// then edits its value in place: the block must fail it as unsigned,
+// charge nothing, and key the receipt by the edited content's id.
+func TestApplyBlockRejectsTxEditedAfterSigning(t *testing.T) {
+	kp := keys.Deterministic(1)
+	c := newChain(t, ethConfig(1), nil, kp)
+	tx := signedCall(t, kp, 1, 0, hashing.AddressFromBytes([]byte{0x55}), nil, 100)
+	if _, err := c.SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	tx.Value = u256.FromUint64(5000)
+	fresh, err := types.DecodeTransaction(tx.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, receipts := c.ApplyBlock([]*types.Transaction{tx}, 100, ProposerAddress(1, 0))
+	rec := receipts[0]
+	if rec.Succeeded() || rec.GasUsed != 0 || !strings.Contains(rec.Err, types.ErrBadTxSignature.Error()) {
+		t.Fatalf("edited tx: receipt %+v, want a failed invalid-signature receipt", rec)
+	}
+	if rec.TxID != fresh.ID() {
+		t.Fatalf("receipt id %s, want the edited content's %s", rec.TxID, fresh.ID())
+	}
+	if got := c.StateDB().GetBalance(kp.Address()); !got.Eq(u256.FromUint64(fund)) {
+		t.Fatalf("sender balance = %s, the edited tx must not run", got)
 	}
 }

@@ -84,11 +84,11 @@ func (h *harness) run(id hashing.ChainID, kp *keys.KeyPair, kind types.TxKind,
 		Data:     data,
 		Move2:    payload,
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		h.t.Fatal(err)
 	}
 	h.nonces[id][kp.Address()]++
-	if err := c.SubmitTx(tx); err != nil {
+	if _, err := c.SubmitTx(tx); err != nil {
 		h.t.Fatal(err)
 	}
 	h.now += 5
@@ -614,10 +614,10 @@ func TestMovedAtResidencyGuard(t *testing.T) {
 			ChainID: 7, Nonce: nonce, Kind: kind, To: to,
 			GasLimit: 50_000_000, GasPrice: u256.FromUint64(2), Data: data,
 		}
-		if err := tx.Sign(alice); err != nil {
+		if _, err := tx.Sign(alice); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SubmitTx(tx); err != nil {
+		if _, err := c.SubmitTx(tx); err != nil {
 			t.Fatal(err)
 		}
 		_, receipts := c.ApplyBlock(c.ProposeBatch(), now, chain.ProposerAddress(7, 0))

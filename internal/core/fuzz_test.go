@@ -59,10 +59,10 @@ func FuzzVerifyMove2AccountProof(f *testing.F) {
 	})
 }
 
-// FuzzVerifyMove2Storage mutates one storage entry: completeness must
-// reject any change.
-func FuzzVerifyMove2Storage(f *testing.F) {
-	src, err := state.NewDB(chainA, trie.KindMPT)
+// storagePayload builds a Move2 payload for a four-slot contract locked on
+// a source chain with the given params and makes hs trust its root.
+func storagePayload(f *testing.F, hs *HeaderStore, params ChainParams) *types.Move2Payload {
+	src, err := state.NewDB(params.ID, params.TreeKind)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -78,40 +78,71 @@ func FuzzVerifyMove2Storage(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	hs := NewHeaderStore(paramsA(), paramsB())
-	rootHeader := &types.Header{ChainID: chainA, Height: 1, StateRoot: src.Root()}
-	if err := hs.Update(chainA, []*types.Header{rootHeader}, 1+paramsA().ConfirmationDepth); err != nil {
-		f.Fatal(err)
+	publish(f, hs, params, 1, src.Root())
+	return payload
+}
+
+// FuzzVerifyMove2Storage mutates the storage entries of a payload from an
+// MPT or an IAVL source: flipping a byte of one entry (op%3 == 0), swapping
+// it with the next (op%3 == 1) or duplicating it (op%3 == 2). Completeness
+// must reject any change; swaps and duplicates rebuild the same tree, so
+// only the strictly-ascending rule catches them.
+func FuzzVerifyMove2Storage(f *testing.F) {
+	hs := NewHeaderStore(paramsA(), paramsB(), paramsC())
+	payloads := map[bool]*types.Move2Payload{
+		false: storagePayload(f, hs, paramsA()),
+		true:  storagePayload(f, hs, paramsC()),
 	}
 
-	f.Add(uint8(0), uint8(0), uint8(0))  // identity
-	f.Add(uint8(1), uint8(31), uint8(1)) // flip value byte
-	f.Add(uint8(2), uint8(0), uint8(9))  // flip key byte
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), false)  // identity
+	f.Add(uint8(1), uint8(31), uint8(1), uint8(0), false) // flip value byte
+	f.Add(uint8(2), uint8(0), uint8(9), uint8(0), false)  // flip key byte
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), true)   // identity, IAVL source
+	f.Add(uint8(3), uint8(7), uint8(2), uint8(0), true)   // flip value byte, IAVL source
+	f.Add(uint8(1), uint8(0), uint8(0), uint8(1), false)  // swap
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(1), true)   // swap last and first
+	f.Add(uint8(2), uint8(0), uint8(0), uint8(2), true)   // duplicate
 
-	f.Fuzz(func(t *testing.T, entry, pos, delta uint8) {
+	f.Fuzz(func(t *testing.T, entry, pos, delta, op uint8, iavlSource bool) {
 		dst, err := state.NewDB(chainB, trie.KindIAVL)
 		if err != nil {
 			t.Fatal(err)
 		}
+		payload := payloads[iavlSource]
 		p := *payload
 		p.Storage = append([]types.StorageEntry{}, payload.Storage...)
 		mutated := false
-		if len(p.Storage) > 0 && delta != 0 {
-			i := int(entry) % len(p.Storage)
-			e := p.Storage[i]
-			if pos%2 == 0 {
-				e.Key[pos%32] ^= delta
-			} else {
-				e.Value[pos%32] ^= delta
-			}
-			if e != payload.Storage[i] {
+		if n := len(p.Storage); n > 0 {
+			i := int(entry) % n
+			switch op % 3 {
+			case 0:
+				if delta == 0 {
+					break
+				}
+				e := p.Storage[i]
+				if pos%2 == 0 {
+					e.Key[pos%32] ^= delta
+				} else {
+					e.Value[pos%32] ^= delta
+				}
+				if e != payload.Storage[i] {
+					mutated = true
+				}
+				p.Storage[i] = e
+			case 1:
+				if j := (i + 1) % n; j != i {
+					p.Storage[i], p.Storage[j] = p.Storage[j], p.Storage[i]
+					mutated = true
+				}
+			case 2:
+				p.Storage = append(p.Storage[:i+1], p.Storage[i:]...)
 				mutated = true
 			}
-			p.Storage[i] = e
 		}
 		_, err = VerifyMove2(chainB, dst, hs, &p)
 		if mutated && err == nil {
-			t.Fatalf("mutated storage accepted (entry %d pos %d delta %d)", entry, pos, delta)
+			t.Fatalf("mutated storage accepted (entry %d pos %d delta %d op %d iavl %v)",
+				entry, pos, delta, op, iavlSource)
 		}
 		if !mutated && err != nil {
 			t.Fatalf("unmutated payload rejected: %v", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"scmove/internal/hashing"
+	"scmove/internal/keys"
 	"scmove/internal/state"
 	"scmove/internal/trees"
 	"scmove/internal/trie"
@@ -197,25 +198,40 @@ func checkCode(codeHash hashing.Hash, code []byte) error {
 }
 
 // checkStorageComplete rebuilds the storage tree from the carried entries
-// and returns it if its root is the proven one.
+// and returns it if its root is the proven one. The entries must be
+// non-zero and in strictly ascending key order, the order in which every
+// state backend iterates a contract's storage: a duplicated or permuted
+// entry would otherwise rebuild the same tree and pass. The tree is hashed
+// on the shared worker pool, as state.DB.Commit hashes the account tree.
 func checkStorageComplete(params ChainParams, storageRoot hashing.Hash, entries []types.StorageEntry) (trie.Tree, error) {
-	tree, err := trees.New(params.TreeKind, 32)
+	var zero [32]byte
+	for i := range entries {
+		if entries[i].Value == zero {
+			return nil, fmt.Errorf("%w: zero-valued storage entry %d", ErrIncompleteSet, i)
+		}
+	}
+	tree, err := buildStorage(params.TreeKind, entries)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrIncompleteSet, err)
 	}
-	for _, e := range entries {
-		var zero [32]byte
-		if e.Value == zero {
-			return nil, fmt.Errorf("%w: zero-valued storage entry", ErrIncompleteSet)
-		}
-		if err := tree.Set(e.Key[:], e.Value[:]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrIncompleteSet, err)
-		}
+	var root hashing.Hash
+	if ph, ok := tree.(trie.ParallelHasher); ok {
+		root = ph.HashParallel(keys.SharedPool())
+	} else {
+		root = tree.RootHash()
 	}
-	if tree.RootHash() != storageRoot {
-		return nil, fmt.Errorf("%w: rebuilt root %s, proven %s", ErrIncompleteSet, tree.RootHash(), storageRoot)
+	if root != storageRoot {
+		return nil, fmt.Errorf("%w: rebuilt root %s, proven %s", ErrIncompleteSet, root, storageRoot)
 	}
 	return tree, nil
+}
+
+// buildStorage builds a storage tree of the given kind from entries in
+// strictly ascending key order.
+func buildStorage(kind trie.Kind, entries []types.StorageEntry) (trie.Tree, error) {
+	return trees.BuildSorted(kind, 32, len(entries), func(i int) ([]byte, []byte) {
+		return entries[i].Key[:], entries[i].Value[:]
+	})
 }
 
 // ApplyMove2 recreates the verified contract locally (Alg. 1 lines 11-12):
@@ -228,11 +244,9 @@ func checkStorageComplete(params ChainParams, storageRoot hashing.Hash, entries 
 func ApplyMove2(db *state.DB, p *types.Move2Payload, v Verified) {
 	storage := v.Storage
 	if trees.KindOf(storage) != db.TreeKind() {
-		storage = trees.MustNew(db.TreeKind(), 32)
-		for _, e := range p.Storage {
-			if err := storage.Set(e.Key[:], e.Value[:]); err != nil {
-				panic(fmt.Sprintf("core: apply move2: %v", err))
-			}
+		var err error
+		if storage, err = buildStorage(db.TreeKind(), p.Storage); err != nil {
+			panic(fmt.Sprintf("core: apply move2: %v", err))
 		}
 	}
 	db.ImportAccount(p.Contract, v.Account, p.Code, storage)

@@ -263,9 +263,27 @@ func (n *node) encode() []byte {
 	return n.enc
 }
 
+// encodedLen is the length of the canonical encoding of a node with the
+// given key and value lengths.
+func encodedLen(keyLen, valueLen int) int {
+	return uvarintLen(tagNode) + uvarintLen(uint64(keyLen)) + keyLen +
+		uvarintLen(uint64(valueLen)) + valueLen + 2*hashing.HashSize
+}
+
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
 func (n *node) hashNode() hashing.Hash {
 	if n.clean {
 		return n.hash
+	}
+	if size := encodedLen(len(n.key), len(n.value)); cap(n.enc) < size {
+		n.enc = make([]byte, 0, size) // one allocation instead of append growth
 	}
 	n.enc = n.appendEncode(n.enc[:0])
 	n.hash = hashing.Sum(n.enc)

@@ -41,6 +41,10 @@ func (e *Entry) validate() error {
 		if e.Move1 == nil {
 			return errors.New("stage move1-submitted without a signed Move1 transaction")
 		}
+		// The receipt watcher waits on the recorded id.
+		if e.Result.Move1Tx != e.Move1.ID() {
+			return errors.New("stage move1-submitted with a Move1 id that is not the signed transaction's")
+		}
 	case StageWaitConfirm:
 		if e.Payload == nil {
 			return errors.New("stage wait-confirm without a proof payload")
@@ -50,6 +54,9 @@ func (e *Entry) validate() error {
 		// transaction from the payload, so both must be present.
 		if e.Move2 == nil {
 			return errors.New("stage move2-submitted without a signed Move2 transaction")
+		}
+		if e.Result.Move2Tx != e.Move2.ID() {
+			return errors.New("stage move2-submitted with a Move2 id that is not the signed transaction's")
 		}
 		if e.Payload == nil {
 			return errors.New("stage move2-submitted without a proof payload")

@@ -28,7 +28,7 @@ func signedTx(t *testing.T, kp *keys.KeyPair, nonce uint64, kind types.TxKind, p
 		GasPrice: DefaultGasPrice,
 		Move2:    payload,
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
 	return tx

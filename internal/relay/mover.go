@@ -357,13 +357,13 @@ func (m *Mover) backoff(attempt int) time.Duration {
 // watches for its receipt.
 func (m *Mover) submitMove1(cl *Client, e *Entry) {
 	if e.Move1 == nil {
-		tx, err := cl.SignedCall(m.src, e.Contract, e.MoveToInput, u256.Zero())
+		tx, id, err := cl.SignedCall(m.src, e.Contract, e.MoveToInput, u256.Zero())
 		if err != nil {
 			m.fail(e, "move1 sign", err)
 			return
 		}
 		e.Move1 = tx
-		e.Result.Move1Tx = tx.ID()
+		e.Result.Move1Tx = id
 	}
 	e.Stage = StageMove1Submitted
 	cl.SubmitSigned(m.src, e.Move1)
@@ -378,7 +378,7 @@ func (m *Mover) watchMove1(cl *Client, e *Entry) {
 	live := func() bool {
 		return m.alive && e.seq == seq && e.Stage == StageMove1Submitted
 	}
-	m.src.NotifyTx(e.Move1.ID(), func(rec *types.Receipt, _ *types.Block) {
+	m.src.NotifyTx(e.Result.Move1Tx, func(rec *types.Receipt, _ *types.Block) {
 		if !live() {
 			return
 		}
@@ -495,13 +495,13 @@ func (m *Mover) submitMove2(cl *Client, e *Entry) {
 		m.reg.Span("p.wait", e.Result.Move1At, e.Result.ProofReadyAt, m.stageAttrs(e)...)
 	}
 	if e.Move2 == nil {
-		tx, err := cl.SignedMove2(m.dst, e.Payload)
+		tx, id, err := cl.SignedMove2(m.dst, e.Payload)
 		if err != nil {
 			m.fail(e, "move2 sign", err)
 			return
 		}
 		e.Move2 = tx
-		e.Result.Move2Tx = tx.ID()
+		e.Result.Move2Tx = id
 	}
 	e.Stage = StageMove2Submitted
 	cl.SubmitSigned(m.dst, e.Move2)
@@ -525,7 +525,7 @@ func (m *Mover) watchMove2(cl *Client, e *Entry) {
 	live := func() bool {
 		return m.alive && e.seq == seq && e.Stage == StageMove2Submitted
 	}
-	m.dst.NotifyTx(e.Move2.ID(), func(rec *types.Receipt, _ *types.Block) {
+	m.dst.NotifyTx(e.Result.Move2Tx, func(rec *types.Receipt, _ *types.Block) {
 		if !live() {
 			return
 		}

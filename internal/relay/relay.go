@@ -127,7 +127,7 @@ func (cl *Client) deliver(c *chain.Chain, tx *types.Transaction) {
 			cl.rollbackNonce(c.ChainID(), tx.Nonce)
 			return
 		}
-		if err := c.SubmitTx(tx); err != nil && !errors.Is(err, txpool.ErrDuplicate) {
+		if _, err := c.SubmitTx(tx); err != nil && !errors.Is(err, txpool.ErrDuplicate) {
 			cl.rollbackNonce(c.ChainID(), tx.Nonce)
 		}
 	}
@@ -164,26 +164,27 @@ func (cl *Client) deliver(c *chain.Chain, tx *types.Transaction) {
 			if err != nil {
 				return
 			}
-			_ = c.SubmitTx(forged) // signature admission rejects it
+			_, _ = c.SubmitTx(forged) // signature admission rejects it
 		})
 }
 
-// sign signs tx, rolling the consumed nonce back on failure. With a signer
-// pool configured the ECDSA is deferred to a worker and a failure (which
-// crypto/rand makes all but impossible) surfaces at delivery time instead,
-// where the nonce is likewise rolled back.
-func (cl *Client) sign(c *chain.Chain, tx *types.Transaction) (*types.Transaction, error) {
+// sign signs tx and returns it with its id, rolling the consumed nonce back
+// on failure. With a signer pool configured the ECDSA is deferred to a
+// worker and a failure (which crypto/rand makes all but impossible)
+// surfaces at delivery time instead, where the nonce is likewise rolled
+// back.
+func (cl *Client) sign(c *chain.Chain, tx *types.Transaction) (*types.Transaction, hashing.Hash, error) {
 	// With one CPU there is nothing to overlap with and the worker handoff
 	// is pure overhead, so the deferred path requires real parallelism.
 	if cl.signer != nil && runtime.GOMAXPROCS(0) > 1 {
-		tx.SignOn(cl.kp, cl.signer)
-		return tx, nil
+		return tx, tx.SignOn(cl.kp, cl.signer), nil
 	}
-	if err := tx.Sign(cl.kp); err != nil {
+	id, err := tx.Sign(cl.kp)
+	if err != nil {
 		cl.rollbackNonce(c.ChainID(), tx.Nonce)
-		return nil, err
+		return nil, hashing.Hash{}, err
 	}
-	return tx, nil
+	return tx, id, nil
 }
 
 // SubmitSigned re-delivers an already-signed transaction over the
@@ -191,15 +192,14 @@ func (cl *Client) sign(c *chain.Chain, tx *types.Transaction) (*types.Transactio
 // transaction id while the first copy is pending, and stale nonces are
 // dropped at proposal time, so a transaction that already committed can
 // never re-execute.
-func (cl *Client) SubmitSigned(c *chain.Chain, tx *types.Transaction) hashing.Hash {
+func (cl *Client) SubmitSigned(c *chain.Chain, tx *types.Transaction) {
 	cl.deliver(c, tx)
-	return tx.ID()
 }
 
 // SignedCall builds and signs a call transaction, consuming a nonce,
-// without submitting it. Movers use it to keep the signed bytes for
-// idempotent resubmission.
-func (cl *Client) SignedCall(c *chain.Chain, to hashing.Address, data []byte, value u256.Int) (*types.Transaction, error) {
+// without submitting it, and returns it with its id. Movers use it to keep
+// the signed bytes for idempotent resubmission.
+func (cl *Client) SignedCall(c *chain.Chain, to hashing.Address, data []byte, value u256.Int) (*types.Transaction, hashing.Hash, error) {
 	return cl.sign(c, &types.Transaction{
 		ChainID:  c.ChainID(),
 		Nonce:    cl.nextNonce(c),
@@ -213,8 +213,8 @@ func (cl *Client) SignedCall(c *chain.Chain, to hashing.Address, data []byte, va
 }
 
 // SignedMove2 builds and signs a Move2 transaction carrying the given proof
-// payload without submitting it.
-func (cl *Client) SignedMove2(c *chain.Chain, payload *types.Move2Payload) (*types.Transaction, error) {
+// payload without submitting it, and returns it with its id.
+func (cl *Client) SignedMove2(c *chain.Chain, payload *types.Move2Payload) (*types.Transaction, hashing.Hash, error) {
 	return cl.sign(c, &types.Transaction{
 		ChainID:  c.ChainID(),
 		Nonce:    cl.nextNonce(c),
@@ -227,8 +227,8 @@ func (cl *Client) SignedMove2(c *chain.Chain, payload *types.Move2Payload) (*typ
 
 // SignedCreate builds and signs a deployment transaction, consuming a
 // nonce, without submitting it — for idempotent resubmission by retrying
-// harnesses.
-func (cl *Client) SignedCreate(c *chain.Chain, code []byte, value u256.Int) (*types.Transaction, error) {
+// harnesses — and returns it with its id.
+func (cl *Client) SignedCreate(c *chain.Chain, code []byte, value u256.Int) (*types.Transaction, hashing.Hash, error) {
 	return cl.sign(c, &types.Transaction{
 		ChainID:  c.ChainID(),
 		Nonce:    cl.nextNonce(c),
@@ -242,33 +242,33 @@ func (cl *Client) SignedCreate(c *chain.Chain, code []byte, value u256.Int) (*ty
 
 // Call submits a contract call (or plain transfer) and returns the tx id.
 func (cl *Client) Call(c *chain.Chain, to hashing.Address, data []byte, value u256.Int) (hashing.Hash, error) {
-	tx, err := cl.SignedCall(c, to, data, value)
+	tx, id, err := cl.SignedCall(c, to, data, value)
 	if err != nil {
 		return hashing.Hash{}, err
 	}
 	cl.deliver(c, tx)
-	return tx.ID(), nil
+	return id, nil
 }
 
 // Create submits a contract deployment.
 func (cl *Client) Create(c *chain.Chain, code []byte, value u256.Int) (hashing.Hash, error) {
-	tx, err := cl.SignedCreate(c, code, value)
+	tx, id, err := cl.SignedCreate(c, code, value)
 	if err != nil {
 		return hashing.Hash{}, err
 	}
 	cl.deliver(c, tx)
-	return tx.ID(), nil
+	return id, nil
 }
 
 // SubmitMove2 submits a Move2 transaction carrying the given proof payload.
 // Any client may complete an unfinished move this way (§III-B).
 func (cl *Client) SubmitMove2(c *chain.Chain, payload *types.Move2Payload) (hashing.Hash, error) {
-	tx, err := cl.SignedMove2(c, payload)
+	tx, id, err := cl.SignedMove2(c, payload)
 	if err != nil {
 		return hashing.Hash{}, err
 	}
 	cl.deliver(c, tx)
-	return tx.ID(), nil
+	return id, nil
 }
 
 // Locate finds the chain a contract currently lives on by following the

@@ -186,7 +186,7 @@ func TestSubmitSignedIdempotent(t *testing.T) {
 	cl := relay.NewClient(kp, sched, time.Millisecond)
 	c := testChain(t, sched, 1, kp.Address())
 
-	tx, err := cl.SignedCall(c, hashing.AddressFromBytes([]byte{0x05}), nil, u256.One())
+	tx, id, err := cl.SignedCall(c, hashing.AddressFromBytes([]byte{0x05}), nil, u256.One())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSubmitSignedIdempotent(t *testing.T) {
 		cl.SubmitSigned(c, tx)
 	}
 	sched.RunUntil(3 * time.Second)
-	rec, ok := c.Receipt(tx.ID())
+	rec, ok := c.Receipt(id)
 	if !ok || !rec.Succeeded() {
 		t.Fatalf("tx must commit once: %+v ok=%v", rec, ok)
 	}
@@ -207,7 +207,7 @@ func TestSubmitSignedIdempotent(t *testing.T) {
 	// and must not overwrite the success receipt with a nonce failure.
 	cl.SubmitSigned(c, tx)
 	sched.RunUntil(6 * time.Second)
-	rec, _ = c.Receipt(tx.ID())
+	rec, _ = c.Receipt(id)
 	if !rec.Succeeded() {
 		t.Fatalf("late resubmission overwrote the receipt: %+v", rec)
 	}

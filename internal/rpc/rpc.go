@@ -205,8 +205,8 @@ func (s *Server) submit(req *Request) *Response {
 	if err != nil {
 		return &Response{Error: "submit: " + err.Error()}
 	}
-	id := tx.ID()
-	if err := s.chain.SubmitTx(tx); err != nil {
+	id, err := s.chain.SubmitTx(tx)
+	if err != nil {
 		if errors.Is(err, txpool.ErrDuplicate) {
 			return &Response{Ok: true, ID: hex.EncodeToString(id[:]), Known: true}
 		}

@@ -79,7 +79,7 @@ func TestSubmitQueryReceiptRoundTrip(t *testing.T) {
 		ChainID: 1, Nonce: 0, Kind: types.TxCall, To: to,
 		Value: u256.FromUint64(5000), GasLimit: 1_000_000, GasPrice: u256.FromUint64(2),
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,10 +143,10 @@ func TestHistoricalQuery(t *testing.T) {
 			ChainID: 1, Nonce: nonce, Kind: types.TxCall, To: to,
 			Value: u256.FromUint64(100), GasLimit: 1_000_000, GasPrice: u256.FromUint64(2),
 		}
-		if err := tx.Sign(kp); err != nil {
+		if _, err := tx.Sign(kp); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SubmitTx(tx); err != nil {
+		if _, err := c.SubmitTx(tx); err != nil {
 			t.Fatal(err)
 		}
 		c.ApplyBlock(c.ProposeBatch(), 1000+nonce, chain.ProposerAddress(1, 0))
@@ -221,7 +221,7 @@ func TestHostileRequests(t *testing.T) {
 		ChainID: 1, Nonce: 0, Kind: types.TxCall, To: hashing.AddressFromBytes([]byte{9}),
 		Value: u256.FromUint64(1), GasLimit: 1_000_000, GasPrice: u256.FromUint64(2),
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
 	if resp := call(t, s.Addr(), &Request{Method: "submit", Tx: hex.EncodeToString(tx.Encode())}); !resp.Ok {

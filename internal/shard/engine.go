@@ -92,20 +92,21 @@ func New(cfg Config) *Engine {
 		e.chains[id] = c
 		e.order = append(e.order, id)
 		e.chWin[id] = &ChainLoad{ID: id, MaxTxs: c.Config().MaxBlockTxs}
-		c.OnBlock(func(b *types.Block, _ []*types.Receipt) { e.observe(id, b) })
+		c.OnBlock(func(b *types.Block, receipts []*types.Receipt) { e.observe(id, b, receipts) })
 	}
 	return e
 }
 
-// observe folds one committed block into the traffic windows.
-func (e *Engine) observe(id hashing.ChainID, b *types.Block) {
+// observe folds one committed block into the traffic windows. receipts[i]
+// is the receipt of b.Txs[i], and carries its id.
+func (e *Engine) observe(id hashing.ChainID, b *types.Block, receipts []*types.Receipt) {
 	if e.stopped {
 		return
 	}
 	w := e.chWin[id]
 	w.Blocks++
 	w.Txs += uint64(len(b.Txs))
-	for _, tx := range b.Txs {
+	for i, tx := range b.Txs {
 		if tx.Kind != types.TxCall {
 			continue
 		}
@@ -117,7 +118,7 @@ func (e *Engine) observe(id hashing.ChainID, b *types.Block) {
 		if e.cfg.Home == nil {
 			continue
 		}
-		if sender, err := tx.Sender(); err == nil {
+		if sender, err := tx.SenderOf(receipts[i].TxID); err == nil {
 			if home, ok := e.cfg.Home(sender); ok {
 				cw.ByHome[home]++
 			}

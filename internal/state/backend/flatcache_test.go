@@ -60,7 +60,7 @@ func TestFlatCacheStats(t *testing.T) {
 	c := NewFlatCache[string](4, 4)
 	c.Account(tAddr(1)) // miss
 	c.PutAccount(tAddr(1), "one", true)
-	c.Account(tAddr(1)) // hit
+	c.Account(tAddr(1))                            // hit
 	c.Slot(SlotKey{Addr: tAddr(1), Key: tWord(1)}) // miss
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 2 {

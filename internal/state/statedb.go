@@ -2,9 +2,10 @@ package state
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"scmove/internal/evm"
@@ -598,8 +599,8 @@ func (db *DB) Commit() hashing.Hash {
 	db.warmStorageRoots()
 	// markDirty appends in first-touch order; sort once for the
 	// deterministic flush (map iteration is randomized).
-	sort.Slice(db.dirtyOrder, func(i, j int) bool {
-		return bytes.Compare(db.dirtyOrder[i][:], db.dirtyOrder[j][:]) < 0
+	slices.SortFunc(db.dirtyOrder, func(a, b hashing.Address) int {
+		return bytes.Compare(a[:], b[:])
 	})
 	batch := db.buildBatch()
 	for i, addr := range db.dirtyOrder {
@@ -742,11 +743,11 @@ func (db *DB) appendSlotChanges(batch *backend.Batch) {
 		if batch.Slots == nil {
 			batch.Slots = make([]backend.SlotChange, 0, len(db.slotDelta))
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if c := bytes.Compare(keys[i].Addr[:], keys[j].Addr[:]); c != 0 {
-				return c < 0
+		slices.SortFunc(keys, func(a, b backend.SlotKey) int {
+			if a.Addr != b.Addr { // most keys of a block share a contract
+				return bytes.Compare(a.Addr[:], b.Addr[:])
 			}
-			return bytes.Compare(keys[i].Key[:], keys[j].Key[:]) < 0
+			return bytes.Compare(a.Key[:], b.Key[:])
 		})
 		for _, sk := range keys {
 			prev := db.slotDelta[sk]
@@ -787,11 +788,11 @@ func (db *DB) evictStorageTrees() {
 	for addr := range db.storage {
 		cands = append(cands, candidate{addr: addr, seq: db.storageTouch[addr]})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].seq != cands[j].seq {
-			return cands[i].seq < cands[j].seq
+	slices.SortFunc(cands, func(a, b candidate) int {
+		if c := cmp.Compare(a.seq, b.seq); c != 0 {
+			return c
 		}
-		return bytes.Compare(cands[i].addr[:], cands[j].addr[:]) < 0
+		return bytes.Compare(a.addr[:], b.addr[:])
 	})
 	for _, c := range cands[:len(db.storage)-limit] {
 		delete(db.storage, c.addr)

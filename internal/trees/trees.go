@@ -34,6 +34,32 @@ func MustNew(kind trie.Kind, keyLen int) trie.Tree {
 	return t
 }
 
+// BuildSorted returns a tree of the given kind holding the n entries
+// entry(0), …, entry(n-1), which must come in strictly ascending key order
+// with non-empty values (trie.ErrUnsorted otherwise). IAVL builds in one
+// linear pass (iavl.BuildSorted); MPT inserts the entries one by one.
+func BuildSorted(kind trie.Kind, keyLen, n int, entry func(i int) (key, value []byte)) (trie.Tree, error) {
+	if kind == trie.KindIAVL {
+		return iavl.BuildSorted(keyLen, n, entry)
+	}
+	t, err := New(kind, keyLen)
+	if err != nil {
+		return nil, err
+	}
+	var prev []byte
+	for i := 0; i < n; i++ {
+		key, value := entry(i)
+		if err := trie.CheckSorted(i, prev, key, value); err != nil {
+			return nil, err
+		}
+		if err := t.Set(key, value); err != nil {
+			return nil, err
+		}
+		prev = key
+	}
+	return t, nil
+}
+
 // KindOf reports the kind of a tree built by New (0 for any other tree).
 func KindOf(t trie.Tree) trie.Kind {
 	switch t.(type) {

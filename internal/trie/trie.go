@@ -13,7 +13,9 @@
 package trie
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 
 	"scmove/internal/hashing"
 )
@@ -50,7 +52,23 @@ var (
 	// ErrKeyLength reports a key whose length differs from the tree's fixed
 	// key length. Fixed-length keys keep both tree shapes canonical.
 	ErrKeyLength = errors.New("trie: key length does not match tree key length")
+	// ErrUnsorted reports a sorted build whose entries are not in strictly
+	// ascending key order, or that carries an empty value.
+	ErrUnsorted = errors.New("trie: entries not strictly ascending with non-empty values")
 )
+
+// CheckSorted reports whether an entry may follow prev (nil for the first
+// entry) in a sorted build: its key must be strictly above prev and its
+// value non-empty. i is the entry's index, for the error message.
+func CheckSorted(i int, prev, key, value []byte) error {
+	if prev != nil && bytes.Compare(prev, key) >= 0 {
+		return fmt.Errorf("%w: entry %d key %x does not follow %x", ErrUnsorted, i, key, prev)
+	}
+	if len(value) == 0 {
+		return fmt.Errorf("%w: entry %d has an empty value", ErrUnsorted, i)
+	}
+	return nil
+}
 
 // Tree is an authenticated key-value store with membership proofs.
 //

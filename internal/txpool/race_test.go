@@ -49,13 +49,13 @@ func TestConcurrentAddWhileNextBatchDrains(t *testing.T) {
 		go func(batch []*types.Transaction) {
 			defer wg.Done()
 			for _, tx := range batch {
-				if err := p.Add(tx); err != nil {
+				if _, err := p.Add(tx); err != nil {
 					t.Errorf("Add: %v", err)
 					return
 				}
 				// Idempotent resubmission: duplicate while pending, or
 				// re-admitted after commit (then evicted as stale).
-				if err := p.Add(tx); err != nil && !errors.Is(err, ErrDuplicate) {
+				if _, err := p.Add(tx); err != nil && !errors.Is(err, ErrDuplicate) {
 					t.Errorf("resubmit: %v", err)
 					return
 				}
@@ -123,7 +123,7 @@ func TestConcurrentSameTxSingleAdmission(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				switch err := p.Add(tx); {
+				switch _, err := p.Add(tx); {
 				case err == nil:
 					ok.Add(1)
 				case errors.Is(err, ErrDuplicate):

@@ -68,11 +68,13 @@ func (p *Pool) Len() int {
 	return len(p.queue)
 }
 
-// Add validates and enqueues a transaction. The signature is recovered
-// exactly once, through the types sender cache: stateless checks and the
-// duplicate check run first (they are cheap and need no crypto), then a
-// single Sender call both authenticates the transaction and yields the
-// sender the pool keys nonce sequencing on.
+// Add validates and enqueues a transaction and returns its id. The id is
+// computed once and the signature recovered once, through the types sender
+// cache: stateless checks and the duplicate check run first (they are cheap
+// and need no crypto), then a single SenderOf call on the same id both
+// authenticates the transaction and yields the sender the pool keys nonce
+// sequencing on. The id is returned on every path past the stateless
+// checks, ErrDuplicate included.
 //
 // The duplicate check runs before the capacity check: an idempotent
 // resubmission of an already-pending transaction must report ErrDuplicate
@@ -87,36 +89,36 @@ func (p *Pool) Len() int {
 // resolve to exactly one admission and one ErrDuplicate. For a
 // single-threaded caller the re-check is a no-op and the decision order —
 // stateless, duplicate, capacity, signature — is the historical one.
-func (p *Pool) Add(tx *types.Transaction) error {
+func (p *Pool) Add(tx *types.Transaction) (hashing.Hash, error) {
 	if err := tx.ValidateStateless(p.chainID); err != nil {
-		return fmt.Errorf("admit tx: %w", err)
+		return hashing.Hash{}, fmt.Errorf("admit tx: %w", err)
 	}
 	id := tx.ID()
 	p.mu.Lock()
 	if _, dup := p.pending[id]; dup {
 		p.mu.Unlock()
-		return ErrDuplicate
+		return id, ErrDuplicate
 	}
 	if len(p.queue) >= p.limit {
 		p.mu.Unlock()
-		return ErrPoolFull
+		return id, ErrPoolFull
 	}
 	p.mu.Unlock()
-	sender, err := tx.Sender()
+	sender, err := tx.SenderOf(id)
 	if err != nil {
-		return fmt.Errorf("admit tx: %w", err)
+		return id, fmt.Errorf("admit tx: %w", err)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, dup := p.pending[id]; dup {
-		return ErrDuplicate
+		return id, ErrDuplicate
 	}
 	if len(p.queue) >= p.limit {
-		return ErrPoolFull
+		return id, ErrPoolFull
 	}
 	p.pending[id] = struct{}{}
 	p.queue = append(p.queue, &entry{tx: tx, sender: sender, id: id})
-	return nil
+	return id, nil
 }
 
 // AddBatch admits txs in input order and returns one error slot per
@@ -125,10 +127,10 @@ func (p *Pool) Add(tx *types.Transaction) error {
 // itself — ordering, duplicate, and capacity decisions — stays strictly
 // serial and therefore identical to calling Add in a loop.
 func (p *Pool) AddBatch(txs []*types.Transaction) []error {
-	_, _ = types.RecoverSenders(txs) // warm memo + cache; failures re-surface in Add
+	_, _, _ = types.RecoverSenders(txs) // warm memo + cache; failures re-surface in Add
 	errs := make([]error, len(txs))
 	for i, tx := range txs {
-		errs[i] = p.Add(tx)
+		_, errs[i] = p.Add(tx)
 	}
 	return errs
 }

@@ -18,7 +18,7 @@ func signedTx(t *testing.T, kp *keys.KeyPair, nonce uint64) *types.Transaction {
 		To:       hashing.AddressFromBytes([]byte{0x01}),
 		GasLimit: 21000,
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
 	return tx
@@ -35,7 +35,7 @@ func signedTxTo(t *testing.T, kp *keys.KeyPair, nonce uint64, to byte) *types.Tr
 		To:       hashing.AddressFromBytes([]byte{to}),
 		GasLimit: 21000,
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
 	return tx
@@ -49,7 +49,7 @@ func TestAddAndBatchFIFO(t *testing.T) {
 	tx1 := signedTx(t, k1, 0)
 	tx2 := signedTx(t, k2, 0)
 	for _, tx := range []*types.Transaction{tx1, tx2} {
-		if err := p.Add(tx); err != nil {
+		if _, err := p.Add(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,7 +66,7 @@ func TestAddAndBatchFIFO(t *testing.T) {
 	if p.Len() != 2 {
 		t.Fatalf("pool must keep proposed txs, len = %d", p.Len())
 	}
-	if err := p.Add(tx1); !errors.Is(err, ErrDuplicate) {
+	if _, err := p.Add(tx1); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("proposed tx must stay deduplicated, got %v", err)
 	}
 	for _, tx := range batch {
@@ -80,10 +80,10 @@ func TestAddAndBatchFIFO(t *testing.T) {
 func TestDuplicateRejected(t *testing.T) {
 	p := New(1, 100)
 	tx := signedTx(t, keys.Deterministic(1), 0)
-	if err := p.Add(tx); err != nil {
+	if _, err := p.Add(tx); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(tx); !errors.Is(err, ErrDuplicate) {
+	if _, err := p.Add(tx); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("want ErrDuplicate, got %v", err)
 	}
 }
@@ -91,17 +91,17 @@ func TestDuplicateRejected(t *testing.T) {
 func TestWrongChainRejected(t *testing.T) {
 	p := New(2, 100)
 	tx := signedTx(t, keys.Deterministic(1), 0)
-	if err := p.Add(tx); !errors.Is(err, types.ErrTxChainID) {
+	if _, err := p.Add(tx); !errors.Is(err, types.ErrTxChainID) {
 		t.Fatalf("want ErrTxChainID, got %v", err)
 	}
 }
 
 func TestPoolLimit(t *testing.T) {
 	p := New(1, 1)
-	if err := p.Add(signedTx(t, keys.Deterministic(1), 0)); err != nil {
+	if _, err := p.Add(signedTx(t, keys.Deterministic(1), 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(signedTx(t, keys.Deterministic(2), 0)); !errors.Is(err, ErrPoolFull) {
+	if _, err := p.Add(signedTx(t, keys.Deterministic(2), 0)); !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("want ErrPoolFull, got %v", err)
 	}
 }
@@ -112,10 +112,10 @@ func TestNonceSequencing(t *testing.T) {
 	// Enqueue out of order: nonce 1 then nonce 0.
 	tx1 := signedTx(t, kp, 1)
 	tx0 := signedTx(t, kp, 0)
-	if err := p.Add(tx1); err != nil {
+	if _, err := p.Add(tx1); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(tx0); err != nil {
+	if _, err := p.Add(tx0); err != nil {
 		t.Fatal(err)
 	}
 	batch := p.NextBatch(10, zeroNonce)
@@ -139,7 +139,7 @@ func TestBatchRespectsMax(t *testing.T) {
 	p := New(1, 100)
 	kp := keys.Deterministic(1)
 	for n := uint64(0); n < 5; n++ {
-		if err := p.Add(signedTx(t, kp, n)); err != nil {
+		if _, err := p.Add(signedTx(t, kp, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func TestBatchRespectsMax(t *testing.T) {
 func TestRemove(t *testing.T) {
 	p := New(1, 100)
 	tx := signedTx(t, keys.Deterministic(1), 0)
-	if err := p.Add(tx); err != nil {
+	if _, err := p.Add(tx); err != nil {
 		t.Fatal(err)
 	}
 	p.Remove(tx.ID())
@@ -182,7 +182,7 @@ func TestSameNonceCompetitorSurvivesFailedRound(t *testing.T) {
 	a := signedTxTo(t, kp, 0, 0x01)
 	b := signedTxTo(t, kp, 0, 0x02) // same sender, same nonce, different tx
 	for _, tx := range []*types.Transaction{a, b} {
-		if err := p.Add(tx); err != nil {
+		if _, err := p.Add(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestSameNonceCompetitorSurvivesFailedRound(t *testing.T) {
 	// Once the account's committed nonce really advances, both are stale and
 	// eviction (against committed state) kicks in.
 	p.Remove(b.ID())
-	if err := p.Add(a); err != nil {
+	if _, err := p.Add(a); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.NextBatch(10, func(hashing.Address) uint64 { return 1 }); len(got) != 0 {
@@ -224,21 +224,21 @@ func TestSameNonceCompetitorSurvivesFailedRound(t *testing.T) {
 func TestDuplicateBeatsPoolFull(t *testing.T) {
 	p := New(1, 1)
 	pending := signedTx(t, keys.Deterministic(1), 0)
-	if err := p.Add(pending); err != nil {
+	if _, err := p.Add(pending); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(pending); !errors.Is(err, ErrDuplicate) {
+	if _, err := p.Add(pending); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("resubmission at full pool: want ErrDuplicate, got %v", err)
 	}
-	if err := p.Add(signedTx(t, keys.Deterministic(2), 0)); !errors.Is(err, ErrPoolFull) {
+	if _, err := p.Add(signedTx(t, keys.Deterministic(2), 0)); !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("new tx at full pool: want ErrPoolFull, got %v", err)
 	}
 	// And with free capacity the duplicate is still a duplicate.
 	p2 := New(1, 2)
-	if err := p2.Add(pending); err != nil {
+	if _, err := p2.Add(pending); err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.Add(pending); !errors.Is(err, ErrDuplicate) {
+	if _, err := p2.Add(pending); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("resubmission below capacity: want ErrDuplicate, got %v", err)
 	}
 }
@@ -247,7 +247,7 @@ func TestSequentialNoncesInOneBatch(t *testing.T) {
 	p := New(1, 100)
 	kp := keys.Deterministic(1)
 	for n := uint64(0); n < 3; n++ {
-		if err := p.Add(signedTx(t, kp, n)); err != nil {
+		if _, err := p.Add(signedTx(t, kp, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +315,7 @@ func TestNextBatchMatchesLegacyFIFO(t *testing.T) {
 	build := func() *Pool {
 		p := New(1, 100)
 		admit := func(tx *types.Transaction) {
-			if err := p.Add(tx); err != nil {
+			if _, err := p.Add(tx); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -355,5 +355,23 @@ func TestNextBatchMatchesLegacyFIFO(t *testing.T) {
 		if p.Len() != ref.Len() {
 			t.Fatalf("max=%d: surviving queue %d vs legacy %d", max, p.Len(), ref.Len())
 		}
+	}
+}
+
+// TestAddRejectsTxEditedAfterSigning edits a signed field of a transaction
+// whose signature already verified: admission must check the signature
+// against the edited content, not against the id it was signed under.
+func TestAddRejectsTxEditedAfterSigning(t *testing.T) {
+	p := New(1, 10)
+	tx := signedTx(t, keys.Deterministic(1), 0)
+	if _, err := tx.Sender(); err != nil {
+		t.Fatal(err)
+	}
+	tx.To = hashing.AddressFromBytes([]byte{0x99})
+	if _, err := p.Add(tx); !errors.Is(err, types.ErrBadTxSignature) {
+		t.Fatalf("edited tx: want ErrBadTxSignature, got %v", err)
+	}
+	if p.Len() != 0 {
+		t.Fatal("edited tx must not be pending")
 	}
 }

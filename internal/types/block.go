@@ -79,12 +79,13 @@ type Block struct {
 	Txs    []*Transaction
 }
 
-// TxRoot computes the commitment over an ordered transaction list.
-func TxRoot(txs []*Transaction) hashing.Hash {
-	w := codec.NewWriter(32 * (len(txs) + 1))
-	w.WriteUvarint(uint64(len(txs)))
-	for _, tx := range txs {
-		w.WriteHash(tx.ID())
+// TxRootOf computes the commitment over an ordered transaction list from
+// the transactions' ids, in block order.
+func TxRootOf(ids []hashing.Hash) hashing.Hash {
+	w := codec.NewWriter(32 * (len(ids) + 1))
+	w.WriteUvarint(uint64(len(ids)))
+	for _, id := range ids {
+		w.WriteHash(id)
 	}
 	return hashing.Sum(w.Bytes())
 }

@@ -97,7 +97,7 @@ func fuzzSeedTx(tb testing.TB, kind TxKind) *Transaction {
 			Storage:      []StorageEntry{{Key: [32]byte{1}, Value: [32]byte{2}}},
 		}
 	}
-	if err := tx.Sign(keys.Deterministic(77)); err != nil {
+	if _, err := tx.Sign(keys.Deterministic(77)); err != nil {
 		tb.Fatal(err)
 	}
 	return tx
@@ -178,7 +178,7 @@ func FuzzDecodeMove2Payload(f *testing.F) {
 func TestTransactionBitFlipsNeverForgeSignatures(t *testing.T) {
 	kp := mustKey(t)
 	tx := &Transaction{ChainID: 1, Nonce: 1, Kind: TxCall, GasLimit: 5, Data: []byte("payload")}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
 	enc := tx.Encode()

@@ -201,29 +201,32 @@ func (c *senderCacheState) moveToFront(e *senderCacheEntry) {
 	c.pushFront(e)
 }
 
-// RecoverSenders verifies the signatures of txs on the shared crypto worker
-// pool and returns each recovered sender in input order, with a per-index
-// error for every transaction that failed. It is the batch front door the
-// txpool and ApplyBlock use to pull signature recovery off the serial
-// execution path: all ECDSA work for a block completes (in parallel) before
-// the strictly sequential EVM loop starts, and because results are indexed
-// by input position the outcome is bit-identical at every GOMAXPROCS.
+// RecoverSenders computes the id of every transaction in txs and verifies
+// its signature, on the shared crypto worker pool, returning each id and
+// recovered sender in input order, with a per-index error for every
+// transaction that failed. It is the batch front door the txpool and
+// ApplyBlock use to pull hashing and signature recovery off the serial
+// execution path: all of it completes (in parallel) before the strictly
+// sequential EVM loop starts, and because results are indexed by input
+// position the outcome is bit-identical at every GOMAXPROCS.
 //
 // Duplicate pointers in txs are recovered once and share the result.
-func RecoverSenders(txs []*Transaction) ([]hashing.Address, []error) {
+func RecoverSenders(txs []*Transaction) ([]hashing.Hash, []hashing.Address, []error) {
+	ids := make([]hashing.Hash, len(txs))
 	addrs := make([]hashing.Address, len(txs))
 	errs := make([]error, len(txs))
-	if len(txs) == 0 {
-		return addrs, errs
+	recoverAt := func(i int, tx *Transaction) {
+		ids[i] = tx.ID()
+		addrs[i], errs[i] = tx.SenderOf(ids[i])
 	}
-	if len(txs) == 1 || runtime.GOMAXPROCS(0) == 1 {
+	if len(txs) <= 1 || runtime.GOMAXPROCS(0) == 1 {
 		for i, tx := range txs {
-			addrs[i], errs[i] = tx.Sender()
+			recoverAt(i, tx)
 		}
-		return addrs, errs
+		return ids, addrs, errs
 	}
-	// Sender mutates the transaction's verifiedID memo, so the same pointer
-	// must not be recovered by two workers at once.
+	// SenderOf mutates the transaction's verifiedID memo, so the same
+	// pointer must not be recovered by two workers at once.
 	firstIdx := make(map[*Transaction]int, len(txs))
 	dup := make([]int, len(txs)) // dup[i] = index of first occurrence
 	pool := keys.SharedPool()
@@ -239,14 +242,14 @@ func RecoverSenders(txs []*Transaction) ([]hashing.Address, []error) {
 		wg.Add(1)
 		pool.Go(func() {
 			defer wg.Done()
-			addrs[i], errs[i] = tx.Sender()
+			recoverAt(i, tx)
 		})
 	}
 	wg.Wait()
 	for i, j := range dup {
 		if i != j {
-			addrs[i], errs[i] = addrs[j], errs[j]
+			ids[i], addrs[i], errs[i] = ids[j], addrs[j], errs[j]
 		}
 	}
-	return addrs, errs
+	return ids, addrs, errs
 }

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
@@ -20,7 +21,7 @@ func signedTx(t testing.TB, kp *keys.KeyPair, nonce uint64) *Transaction {
 		GasLimit: 21_000,
 		GasPrice: u256.FromUint64(2),
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
 	return tx
@@ -246,9 +247,12 @@ func TestRecoverSendersMatchesSerialAcrossGOMAXPROCS(t *testing.T) {
 			stripped[i] = c
 		}
 		prev := runtime.GOMAXPROCS(procs)
-		addrs, errs := RecoverSenders(stripped)
+		ids, addrs, errs := RecoverSenders(stripped)
 		runtime.GOMAXPROCS(prev)
 		for i := range txs {
+			if ids[i] != txs[i].ID() {
+				t.Fatalf("GOMAXPROCS=%d index %d: id %s, want %s", procs, i, ids[i], txs[i].ID())
+			}
 			if addrs[i] != want[i] || (errs[i] != nil) != wantErr[i] {
 				t.Fatalf("GOMAXPROCS=%d index %d: got (%s, %v), want (%s, err=%v)",
 					procs, i, addrs[i], errs[i], want[i], wantErr[i])
@@ -297,5 +301,31 @@ func TestSignOnMatchesInlineSign(t *testing.T) {
 	}
 	if after := ReadSenderCacheStats(); after.Hits != before.Hits+1 {
 		t.Fatal("SignOn must seed the sender cache")
+	}
+}
+
+// TestRecoverSendersReturnsCurrentID edits a signed field after a first
+// recovery: the second recovery must return the edited content's id and
+// reject the signature, on the serial and the parallel path.
+func TestRecoverSendersReturnsCurrentID(t *testing.T) {
+	resetSenderCache(t, 64)
+	kp := keys.Deterministic(4)
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		txs := []*Transaction{signedTx(t, kp, 0), signedTx(t, kp, 1)}
+		if _, _, errs := RecoverSenders(txs); errs[0] != nil || errs[1] != nil {
+			t.Fatalf("GOMAXPROCS=%d: signed txs rejected: %v", procs, errs)
+		}
+		txs[1].GasLimit++
+		ids, _, errs := RecoverSenders(txs)
+		runtime.GOMAXPROCS(prev)
+		for i, tx := range txs {
+			if want := hashing.Sum(tx.encodeUnsigned()); ids[i] != want {
+				t.Fatalf("GOMAXPROCS=%d tx %d: id %s, want %s", procs, i, ids[i], want)
+			}
+		}
+		if errs[0] != nil || !errors.Is(errs[1], ErrBadTxSignature) {
+			t.Fatalf("GOMAXPROCS=%d: errs %v, want nil and ErrBadTxSignature", procs, errs)
+		}
 	}
 }

@@ -197,9 +197,11 @@ func DecodeMove2Payload(b []byte) (*Move2Payload, error) {
 // block hashes deterministic in simulations.
 //
 // The hash is computed through a pooled hasher rather than by materializing
-// encodeUnsigned(): ID is recomputed on every signature-cache check (see
-// Sender), which makes it one of the hottest functions in the system.
-// hashUnsigned must stay byte-identical to encodeUnsigned.
+// encodeUnsigned(). It covers every signed byte, so for a Move2 carrying a
+// large storage set it is the cost of hashing the whole payload: each hop
+// (signing, admission, block apply) computes it once and passes it on
+// instead of calling ID again. hashUnsigned must stay byte-identical to
+// encodeUnsigned.
 func (tx *Transaction) ID() hashing.Hash {
 	h := hashing.AcquireHasher()
 	tx.hashUnsigned(h)
@@ -241,28 +243,30 @@ func (tx *Transaction) hashUnsigned(h *hashing.Hasher) {
 	}
 }
 
-// Sign sets From to the key's address and signs the transaction.
-func (tx *Transaction) Sign(kp *keys.KeyPair) error {
+// Sign sets From to the key's address, signs the transaction and returns
+// the id it signed.
+func (tx *Transaction) Sign(kp *keys.KeyPair) (hashing.Hash, error) {
 	tx.From = kp.Address()
 	id := tx.ID()
 	sig, err := kp.Sign(id)
 	if err != nil {
-		return fmt.Errorf("sign tx: %w", err)
+		return hashing.Hash{}, fmt.Errorf("sign tx: %w", err)
 	}
 	tx.Sig = sig
 	tx.verifiedID = id // freshly produced by the key for this content
 	// Seed the process-wide cache too: consensus decodes the proposal
 	// payload into fresh copies, and only the cache survives the copy.
 	senderCache.store(id, &tx.Sig, tx.From)
-	return nil
+	return id, nil
 }
 
 // SignOn is Sign with the ECDSA work deferred to a worker pool: From and
 // the transaction id are fixed synchronously (so the id, and everything
 // derived from it, is identical to the inline path), while the signature is
 // produced concurrently. Callers must WaitSig before reading or encoding
-// the signature. A nil pool falls back to the shared pool.
-func (tx *Transaction) SignOn(kp *keys.KeyPair, pool *keys.Pool) {
+// the signature. A nil pool falls back to the shared pool. It returns the
+// transaction id.
+func (tx *Transaction) SignOn(kp *keys.KeyPair, pool *keys.Pool) hashing.Hash {
 	tx.From = kp.Address()
 	id := tx.ID()
 	done := make(chan error, 1)
@@ -281,6 +285,7 @@ func (tx *Transaction) SignOn(kp *keys.KeyPair, pool *keys.Pool) {
 		senderCache.store(id, &tx.Sig, tx.From)
 		done <- nil
 	})
+	return id
 }
 
 // WaitSig blocks until a pending SignOn signature lands and returns its
@@ -296,14 +301,23 @@ func (tx *Transaction) WaitSig() error {
 	return err
 }
 
-// Sender verifies the signature and returns the signer's address.
+// Sender verifies the signature and returns the signer's address. It is
+// SenderOf(tx.ID()).
+func (tx *Transaction) Sender() (hashing.Address, error) {
+	return tx.SenderOf(tx.ID())
+}
+
+// SenderOf is Sender for a caller that already holds the transaction's id:
+// id must be tx.ID() computed from the transaction's current fields. Every
+// tier below is keyed by id, so a stale id, taken before a signed field
+// changed, would let the edited transaction pass as the signed one; callers
+// compute the id once per hop and never keep it across a change.
 //
 // Three tiers, cheapest first: the per-object verifiedID memo (this pointer
 // already verified), the process-wide sender cache (this exact content and
 // signature verified before, possibly on a different copy), and finally the
 // full ECDSA verification, whose success populates both tiers.
-func (tx *Transaction) Sender() (hashing.Address, error) {
-	id := tx.ID()
+func (tx *Transaction) SenderOf(id hashing.Hash) (hashing.Address, error) {
 	if !tx.verifiedID.IsZero() && tx.verifiedID == id {
 		return tx.From, nil
 	}

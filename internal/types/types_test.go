@@ -23,7 +23,7 @@ func mkTx(t *testing.T, kp *keys.KeyPair) *Transaction {
 		GasPrice: u256.FromUint64(2),
 		Data:     []byte("input"),
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
 	return tx
@@ -45,7 +45,7 @@ func TestTxIDExcludesSignature(t *testing.T) {
 	kp := keys.Deterministic(1)
 	tx := mkTx(t, kp)
 	id1 := tx.ID()
-	if err := tx.Sign(kp); err != nil { // re-sign: new randomness
+	if _, err := tx.Sign(kp); err != nil { // re-sign: new randomness
 		t.Fatal(err)
 	}
 	if tx.ID() != id1 {
@@ -76,7 +76,7 @@ func TestTxValidateChainBinding(t *testing.T) {
 func TestMove2RequiresPayload(t *testing.T) {
 	kp := keys.Deterministic(1)
 	tx := &Transaction{ChainID: 1, Kind: TxMove2, GasLimit: 1}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Validate(1); !errors.Is(err, ErrMissingPayload) {
@@ -99,7 +99,7 @@ func TestTxEncodeDecodeRoundTrip(t *testing.T) {
 			{Key: evm.Word{3}, Value: evm.Word{4}},
 		},
 	}
-	if err := tx.Sign(kp); err != nil {
+	if _, err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeTransaction(tx.Encode())
@@ -161,18 +161,18 @@ func TestTxRootSensitiveToOrderAndContent(t *testing.T) {
 	tx1 := mkTx(t, kp)
 	tx2 := mkTx(t, kp)
 	tx2.Nonce = 4
-	if err := tx2.Sign(kp); err != nil {
+	if _, err := tx2.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
-	r12 := TxRoot([]*Transaction{tx1, tx2})
-	r21 := TxRoot([]*Transaction{tx2, tx1})
+	r12 := TxRootOf([]hashing.Hash{tx1.ID(), tx2.ID()})
+	r21 := TxRootOf([]hashing.Hash{tx2.ID(), tx1.ID()})
 	if r12 == r21 {
 		t.Fatal("tx root must be order-sensitive")
 	}
-	if TxRoot(nil) == r12 {
+	if TxRootOf(nil) == r12 {
 		t.Fatal("empty root must differ")
 	}
-	if TxRoot(nil) != TxRoot([]*Transaction{}) {
+	if TxRootOf(nil) != TxRootOf([]hashing.Hash{}) {
 		t.Fatal("nil and empty lists must agree")
 	}
 }

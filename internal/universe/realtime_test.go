@@ -57,7 +57,7 @@ func signedTransfers(t *testing.T, userKeys []*keys.KeyPair, perUser int) [][]*t
 				ChainID: cid, Nonce: uint64(n), Kind: types.TxCall, To: sink,
 				Value: u256.FromUint64(1), GasLimit: 100_000, GasPrice: u256.Zero(),
 			}
-			if err := tx.Sign(kp); err != nil {
+			if _, err := tx.Sign(kp); err != nil {
 				t.Fatal(err)
 			}
 			out[ui] = append(out[ui], tx)
@@ -166,7 +166,7 @@ func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 	for _, txs := range workload {
 		c := sim.Chain(txs[0].ChainID)
 		for _, tx := range txs {
-			if err := c.SubmitTx(tx); err != nil {
+			if _, err := c.SubmitTx(tx); err != nil {
 				t.Fatalf("replay submit: %v", err)
 			}
 		}

@@ -844,10 +844,9 @@ func (u *Universe) WaitTx(c *chain.Chain, id hashing.Hash, timeout time.Duration
 // with a lossy submission link a single delivery attempt would wedge the
 // harness on the first dropped message. Resubmission is idempotent (pool
 // dedup + stale-nonce drop), so a duplicate can never re-execute.
-func (u *Universe) waitSigned(cl *relay.Client, c *chain.Chain, tx *types.Transaction,
+func (u *Universe) waitSigned(cl *relay.Client, c *chain.Chain, tx *types.Transaction, txid hashing.Hash,
 	timeout time.Duration) (*types.Receipt, error) {
 	const resubmitEvery = 30 * time.Second
-	txid := tx.ID()
 	deadline := u.Sched.Now() + timeout
 	for {
 		cl.SubmitSigned(c, tx)
@@ -874,11 +873,11 @@ func (u *Universe) waitSigned(cl *relay.Client, c *chain.Chain, tx *types.Transa
 // retried, so it survives a lossy submission link.
 func (u *Universe) MustDeploy(cl *relay.Client, c *chain.Chain, name string, args []byte,
 	value u256.Int, timeout time.Duration) (hashing.Address, error) {
-	tx, err := cl.SignedCreate(c, evm.NativeDeployment(name, args), value)
+	tx, id, err := cl.SignedCreate(c, evm.NativeDeployment(name, args), value)
 	if err != nil {
 		return hashing.Address{}, err
 	}
-	rec, err := u.waitSigned(cl, c, tx, timeout)
+	rec, err := u.waitSigned(cl, c, tx, id, timeout)
 	if err != nil {
 		return hashing.Address{}, err
 	}
@@ -893,11 +892,11 @@ func (u *Universe) MustDeploy(cl *relay.Client, c *chain.Chain, name string, arg
 // a lossy submission link.
 func (u *Universe) MustCall(cl *relay.Client, c *chain.Chain, to hashing.Address,
 	data []byte, value u256.Int, timeout time.Duration) (*types.Receipt, error) {
-	tx, err := cl.SignedCall(c, to, data, value)
+	tx, id, err := cl.SignedCall(c, to, data, value)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := u.waitSigned(cl, c, tx, timeout)
+	rec, err := u.waitSigned(cl, c, tx, id, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -171,14 +171,14 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 		txids := make([]hashing.Hash, cfg.Contracts)
 		for k := range addrs {
 			owners[k] = u.Client(k)
-			tx, err := owners[k].SignedCreate(hot,
+			tx, id, err := owners[k].SignedCreate(hot,
 				evm.NativeDeployment(contracts.StoreName,
 					contracts.StoreConstructorArgs(owners[k].Address(), 1)), u256.Zero())
 			if err != nil {
 				return nil, err
 			}
 			owners[k].SubmitSigned(hot, tx)
-			txids[k] = tx.ID()
+			txids[k] = id
 		}
 		ok := u.RunUntil(func() bool {
 			for _, id := range txids {
